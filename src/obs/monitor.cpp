@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/assert.hpp"
+
 namespace rlslb::obs {
 
 // ----------------------------------------------------------- MonitorSet
@@ -202,21 +204,6 @@ void LoadConservationMonitor::check(const CheckSample& sample, AnomalyLog& log) 
     if (sample.totalLoad > maxLoad) {
       fail("total_load", "total load above live balls x max weight",
            static_cast<double>(sample.totalLoad), static_cast<double>(maxLoad));
-    }
-    if (sample.crossShardOps > sample.queuedOps) {
-      fail("queue_ops", "cross-shard ops exceed queued ops",
-           static_cast<double>(sample.crossShardOps),
-           static_cast<double>(sample.queuedOps));
-    }
-    if (sample.queuePeak > sample.queuedOps) {
-      fail("queue_ops", "queue peak depth exceeds queued ops",
-           static_cast<double>(sample.queuePeak),
-           static_cast<double>(sample.queuedOps));
-    }
-    if (sample.drainedOps != sample.queuedOps) {
-      fail("queue_ops", "drained ops != queued ops",
-           static_cast<double>(sample.drainedOps),
-           static_cast<double>(sample.queuedOps));
     }
   }
   if (primed_) {

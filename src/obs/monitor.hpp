@@ -32,7 +32,7 @@ namespace rlslb::obs {
 
 /// Snapshot of one boundary. Producers fill what they know and leave
 /// the rest at the defaults; monitors must tolerate missing fields
-/// (e.g. process strides carry no queue accounting).
+/// (e.g. process strides carry no allocator counters).
 struct CheckSample {
   enum class Origin : std::uint8_t { kServeEpoch, kProcessStride };
   Origin origin = Origin::kServeEpoch;
@@ -52,12 +52,6 @@ struct CheckSample {
   std::int64_t arrivals = 0;
   std::int64_t departures = 0;
   std::int64_t migrations = 0;
-
-  // Per-epoch queue accounting (serve origin, partitioned apply).
-  std::int64_t queuedOps = 0;
-  std::int64_t crossShardOps = 0;
-  std::int64_t queuePeak = 0;
-  std::int64_t drainedOps = 0;
 
   // Process-origin context (filled by obs::ProcessProbe).
   std::uint8_t clockKind = 0;   ///< process::Clock::Kind as an int
@@ -123,8 +117,8 @@ class MonitorSet {
  private:
   std::vector<std::unique_ptr<ConformanceMonitor>> monitors_;
   AnomalyLog log_;
-  QuantileSketch gapSketch_{1};
-  QuantileSketch latencySketch_{1};
+  QuantileSketch gapSketch_;
+  QuantileSketch latencySketch_;
   std::int64_t checks_ = 0;
   std::int32_t runTag_ = 0;
   bool finished_ = false;
@@ -194,9 +188,8 @@ class ConvergenceMonitor final : public ConformanceMonitor {
 
 /// Structural invariants every healthy run satisfies exactly: load
 /// conservation (serve: live balls == arrivals - departures), monotone
-/// clock/step/counters, non-negative gap, and queue-op accounting
-/// (drained == queued, cross-shard <= queued, peak <= queued). All
-/// violations are errors.
+/// clock/step/counters, and non-negative gap. All violations are
+/// errors.
 class LoadConservationMonitor final : public ConformanceMonitor {
  public:
   [[nodiscard]] const char* name() const override { return "load_conservation"; }

@@ -1,24 +1,19 @@
-// Streaming sketches for the telemetry layer: a mergeable quantile
+// Streaming sketches for the telemetry layer: a log-bucketed quantile
 // sketch plus EWMA / CUSUM drift detectors.
 //
 // QuantileSketch follows the MetricsRegistry discipline exactly:
-//   - The hot-path write is an index computation plus one slab
+//   - The hot-path write is an index computation plus one bucket
 //     increment (plus two branch-predictable min/max compares) into a
-//     preallocated per-shard array -- no maps, no strings, no locks,
-//     no allocation after configureShards().
-//   - Parallel phases write per-shard; merged reads sum the slabs in
-//     shard-index order, so quantile answers (and toJson() bytes) are
-//     identical regardless of which threads ran which shards.
+//     preallocated array -- no maps, no strings, no locks, no allocation
+//     after construction.
 //   - Buckets are HDR-histogram style: values 0..63 are exact, larger
 //     values share an exponent block subdivided into 32 sub-buckets,
 //     bounding the relative quantile error at ~3.1% while keeping the
-//     whole table at a fixed 1888 slots per shard. (A P^2 sketch was
-//     considered and rejected: its state depends on arrival order, so
-//     per-shard instances cannot merge deterministically.)
+//     whole table at a fixed 1888 slots. Answers depend only on the
+//     multiset of observed values, never on their order.
 //
 // Ewma and CusumDetector are tiny sequential-state detectors meant to
-// run at epoch/stride boundaries (see obs/monitor.hpp); they are cheap
-// enough for per-epoch use but are not sharded.
+// run at epoch/stride boundaries (see obs/monitor.hpp).
 #pragma once
 
 #include <bit>
@@ -26,7 +21,6 @@
 #include <vector>
 
 #include "report/json.hpp"
-#include "util/assert.hpp"
 
 namespace rlslb::obs {
 
@@ -65,40 +59,28 @@ inline constexpr int kSketchSlots =
 
 class QuantileSketch {
  public:
-  explicit QuantileSketch(int shards = 1) { configureShards(shards); }
-
-  /// Size the per-shard slab array (>= 1), keeping existing counts where
-  /// shard indices overlap. Allocates; call before the first parallel
-  /// write, never from the hot path.
-  void configureShards(int shards);
-  [[nodiscard]] int shards() const { return static_cast<int>(slabs_.size()); }
+  QuantileSketch() : buckets_(static_cast<std::size_t>(kSketchSlots), 0) {}
 
   /// Hot-path write: bucket index + one increment, plus exact min/max
-  /// maintenance. `shard` must be the slab the calling thread owns.
-  void observeShard(int shard, std::int64_t value) {
-    RLSLB_HEAVY_ASSERT(shard >= 0 && shard < shards());
-    Slab& slab = slabs_[static_cast<std::size_t>(shard)];
-    slab.buckets[static_cast<std::size_t>(sketchBucketOf(value))] += 1;
-    slab.count += 1;
-    if (value < slab.minValue) slab.minValue = value;
-    if (value > slab.maxValue) slab.maxValue = value;
+  /// maintenance.
+  void observe(std::int64_t value) {
+    buckets_[static_cast<std::size_t>(sketchBucketOf(value))] += 1;
+    count_ += 1;
+    if (value < minValue_) minValue_ = value;
+    if (value > maxValue_) maxValue_ = value;
   }
-  void observe(std::int64_t value) { observeShard(0, value); }
 
-  // ------------------------------------------------------ merged reads
-  // Deterministic reductions over the shard slabs.
-
-  [[nodiscard]] std::int64_t count() const;
+  [[nodiscard]] std::int64_t count() const { return count_; }
   /// Exact extremes over every observed value (0 when empty).
-  [[nodiscard]] std::int64_t min() const;
-  [[nodiscard]] std::int64_t max() const;
+  [[nodiscard]] std::int64_t min() const { return count_ == 0 ? 0 : minValue_; }
+  [[nodiscard]] std::int64_t max() const { return count_ == 0 ? 0 : maxValue_; }
   /// Bucket-representative value at quantile q in [0,1]: the midpoint of
   /// the bucket containing the ceil(q * count)-th smallest observation.
   /// Relative error is bounded by the bucket width (~3.1%). 0 when empty.
   [[nodiscard]] std::int64_t quantile(double q) const;
 
-  [[nodiscard]] bool empty() const { return count() == 0; }
-  /// Zero every bucket, keep the shard layout. Allocation-free.
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  /// Zero every bucket. Allocation-free.
   void clear();
 
   /// {"count":N,"min":..,"max":..,"p50":..,"p90":..,"p99":..,"p999":..}
@@ -106,13 +88,10 @@ class QuantileSketch {
   [[nodiscard]] report::Json toJson() const;
 
  private:
-  struct Slab {
-    std::vector<std::int64_t> buckets;
-    std::int64_t count = 0;
-    std::int64_t minValue = INT64_MAX;
-    std::int64_t maxValue = INT64_MIN;
-  };
-  std::vector<Slab> slabs_;
+  std::vector<std::int64_t> buckets_;
+  std::int64_t count_ = 0;
+  std::int64_t minValue_ = INT64_MAX;
+  std::int64_t maxValue_ = INT64_MIN;
 };
 
 /// Exponentially-weighted moving average. The first sample primes the

@@ -62,7 +62,7 @@ void ThreadPool::runChunks() {
   }
   const double begin = obs::nowUs();
   claimChunks();
-  tw->complete(traceLabel_, "job", begin, obs::nowUs());
+  tw->complete("parallelFor", "job", begin, obs::nowUs());
 }
 
 void ThreadPool::claimChunks() {
@@ -98,7 +98,7 @@ void ThreadPool::parallelFor(std::int64_t count, const std::function<void(std::i
     // Serial path: run inline so exceptions propagate directly and callers
     // with thread-unsafe bodies see no concurrency at all. Traced the
     // same way as a worker participation (null writer = no-op).
-    const obs::Span span(traceWriter_, traceLabel_, "job");
+    const obs::Span span(traceWriter_, "parallelFor", "job");
     for (std::int64_t i = 0; i < count; ++i) {
       if (token != nullptr && token->cancelled()) return;
       body(i);

@@ -92,14 +92,6 @@ class ThreadPool {
   void setTraceWriter(obs::TraceWriter* writer) { traceWriter_ = writer; }
   [[nodiscard]] obs::TraceWriter* traceWriter() const { return traceWriter_; }
 
-  /// Label for subsequent jobs' spans. Must point to static-storage text
-  /// (a string literal); the phases of the serving loop relabel per
-  /// dispatch ("decide", "drain").
-  void setTraceLabel(const char* label) {
-    traceLabel_ = label != nullptr ? label : "parallelFor";
-  }
-  [[nodiscard]] const char* traceLabel() const { return traceLabel_; }
-
  private:
   void workerLoop();
   void runChunks();    // claimChunks + optional per-participation span
@@ -121,7 +113,6 @@ class ThreadPool {
 
   // Published to workers with the job slot (generation bump under mutex_).
   obs::TraceWriter* traceWriter_ = nullptr;
-  const char* traceLabel_ = "parallelFor";
 
   std::mutex mutex_;
   std::condition_variable workCv_;

@@ -1,19 +1,19 @@
 // serve_* -- the online serving subsystem scenarios.
 //
 // Each scenario streams one workload trace (workload/generators.hpp)
-// through the incremental OnlineAllocator under the sharded event loop
+// through the incremental OnlineAllocator under the epoch event loop
 // (serve/event_loop.hpp) and reports:
 //   - a deterministic gap trajectory (checkpoint epochs) and a summary
 //     table with migration counts and the balance gap against the paper's
 //     closed-system floor (gap 1 for unit weights; the heaviest ball for
-//     weighted traffic) -- byte-identical for a fixed seed across runs,
-//     thread counts, and shard counts;
+//     weighted traffic) -- byte-identical for a fixed seed across runs
+//     and thread counts;
 //   - a timing table plus a "throughput" JSONL record (events/sec of the
 //     decision+apply+repair loop), which CI gates via
 //     scripts/compare_results.py next to the wall-clock trajectory.
 //
 // Shared params: n (bins), events (trace length), d (arrival choices),
-// shards, epoch (events per snapshot), repair (repair moves per epoch),
+// epoch (events per snapshot), repair (repair moves per epoch),
 // lambda (arrivals/bin/time), mu (departure rate), resample (RLS clock
 // rate), weight (background ball weight), record=FILE (tee the trace out;
 // JSONL/CSV/binary by extension), trace=FILE (replay a recorded trace
@@ -97,17 +97,6 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
   return std::make_unique<workload::HotspotTrace>(o, seed);
 }
 
-/// partitioned= param -> ApplyMode: "auto" (default; partitioned when the
-/// pool has workers and shards > 1), "0"/"seq" (fused sequential apply),
-/// "1"/"part" (force the partitioned path).
-serve::ApplyMode parseApplyMode(const std::string& value) {
-  if (value == "auto") return serve::ApplyMode::kAuto;
-  if (value == "0" || value == "seq") return serve::ApplyMode::kSequential;
-  if (value == "1" || value == "part") return serve::ApplyMode::kPartitioned;
-  RLSLB_ASSERT_MSG(false, "partitioned= must be auto, 0/seq, or 1/part");
-  return serve::ApplyMode::kAuto;
-}
-
 void runServe(ScenarioContext& ctx, const std::string& kind) {
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(256));
   std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
@@ -117,11 +106,9 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   allocOptions.invertAcceptance = ctx.params.getBool("invert", false);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
   serve::LoopOptions loopOptions;
-  loopOptions.shards = static_cast<int>(ctx.params.getInt("shards", 8));
   loopOptions.epochEvents = ctx.params.getInt("epoch", 1024);
   loopOptions.repairMovesPerEpoch = static_cast<int>(ctx.params.getInt("repair", 4));
   loopOptions.seed = ctx.seed;
-  loopOptions.applyMode = parseApplyMode(ctx.params.getString("partitioned", "auto"));
   const std::string replayPath = ctx.params.getString("trace", "");
   const std::string recordPath = ctx.params.getString("record", "");
 
@@ -286,159 +273,20 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
           ? static_cast<double>(runResult.events) / runResult.wallSeconds
           : 0.0;
   Table timing({"events", "epochs", "loop wall s", "events/sec", "mean ns/event",
-                "p99 ns/event (epoch)", "apply", "queued ops", "cross-shard ops"});
+                "p99 ns/event (epoch)"});
   timing.row()
       .cell(runResult.events)
       .cell(runResult.epochs)
       .cell(runResult.wallSeconds, 4)
       .cell(eventsPerSec, 6)
       .cell(meanNs, 4)
-      .cell(p99Ns, 4)
-      .cell(loop.usesPartitionedApply() ? "partitioned" : "fused")
-      .cell(runResult.queue.queuedOps)
-      .cell(runResult.queue.crossShardOps);
+      .cell(p99Ns, 4);
   ctx.emitTimingTable(timing, "[serve] " + kind +
                                   " loop throughput (decision+apply+repair wall-clock; "
                                   "trace generation excluded)");
   if (ctx.sink != nullptr) {
     ctx.sink->writeThroughput(ctx.activeScenario, runResult.events, eventsPerSec);
   }
-}
-
-std::vector<int> parseIntList(const std::string& csv, const char* what) {
-  std::vector<int> values;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token =
-        csv.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    RLSLB_ASSERT_MSG(!token.empty(), "empty entry in a comma-separated list param");
-    const int v = static_cast<int>(std::stoll(token));
-    RLSLB_ASSERT_MSG(v >= 1, what);
-    values.push_back(v);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  RLSLB_ASSERT_MSG(!values.empty(), what);
-  return values;
-}
-
-/// serve_scaling: one Poisson trace served repeatedly under every
-/// (threads, shards) combination of the sweep lists, each row on its own
-/// ThreadPool. Every row must finish in the byte-identical final state
-/// (asserted), so the only thing the sweep varies is wall-clock: per-row
-/// events/sec goes out as a "throughput" record named
-/// <scenario>/s<shards>t<threads>, which scripts/compare_results.py gates
-/// both against the committed baseline and *within the run* (for each
-/// multi-thread row group, the best multi-shard rate must hold against the
-/// single-shard rate).
-void runServeScaling(ScenarioContext& ctx) {
-  const std::int64_t n = ctx.params.getInt("n", ctx.sized(256));
-  const std::int64_t events = ctx.params.getInt("events", ctx.sized(2'000'000));
-  serve::AllocatorOptions allocOptions;
-  allocOptions.bins = n;
-  allocOptions.arrivalChoices = static_cast<int>(ctx.params.getInt("d", 2));
-  const auto epochEvents = ctx.params.getInt("epoch", 1024);
-  const auto repair = static_cast<int>(ctx.params.getInt("repair", 4));
-  const std::vector<int> threadList =
-      parseIntList(ctx.params.getString("thread_list", "1,2,4"), "thread_list entries must be >= 1");
-  const std::vector<int> shardList =
-      parseIntList(ctx.params.getString("shard_list", "1,2,4,8"), "shard_list entries must be >= 1");
-  // Thread counts beyond the machine are skipped, not measured: an
-  // oversubscribed pool only measures scheduler churn, and the within-run
-  // scaling gate in scripts/compare_results.py would gate on that noise.
-  const int hardware = runner::ThreadPool::resolveThreadCount(0);
-  std::vector<int> skippedThreads;
-  const std::uint64_t traceSeed = rng::streamSeed(ctx.seed, stableHash("trace:scaling"));
-
-  Table scaling({"threads", "shards", "apply", "loop wall s", "events/sec",
-                 "queued ops", "cross-shard ops", "speedup vs s=1"});
-  std::vector<std::int64_t> refLoads;
-  std::int64_t finalGap = 0;
-  std::int64_t finalLive = 0;
-  std::int64_t finalTotal = 0;
-  std::int64_t finalMigrations = 0;
-  for (const int threads : threadList) {
-    if (threads > hardware) {
-      skippedThreads.push_back(threads);
-      continue;
-    }
-    runner::ThreadPool pool(threads);
-    double singleShardEps = 0.0;
-    for (const int shards : shardList) {
-      const workload::OpenTraceOptions base = baseTraceOptions(ctx, n, events);
-      workload::PoissonTrace trace(base, traceSeed);
-      serve::OnlineAllocator allocator(allocOptions);
-      serve::LoopOptions loopOptions;
-      loopOptions.shards = shards;
-      loopOptions.epochEvents = epochEvents;
-      loopOptions.repairMovesPerEpoch = repair;
-      loopOptions.seed = ctx.seed;
-      loopOptions.applyMode =
-          shards > 1 ? serve::ApplyMode::kPartitioned : serve::ApplyMode::kSequential;
-      serve::ShardedEventLoop loop(allocator, loopOptions, pool);
-      const serve::ShardedEventLoop::RunResult runResult = loop.run(trace);
-
-      // The sweep is execution-only: every row must land in the same state.
-      if (refLoads.empty()) {
-        refLoads = allocator.loads();
-        finalGap = allocator.gap();
-        finalLive = allocator.liveBalls();
-        finalTotal = allocator.totalLoad();
-        finalMigrations =
-            allocator.counters().migrations + allocator.counters().repairMigrations;
-      } else {
-        RLSLB_ASSERT_MSG(allocator.loads() == refLoads,
-                         "serve_scaling rows diverged: the partitioned apply broke the "
-                         "shard/thread invariance contract");
-      }
-
-      const double eventsPerSec =
-          runResult.wallSeconds > 0.0
-              ? static_cast<double>(runResult.events) / runResult.wallSeconds
-              : 0.0;
-      if (shards == 1) singleShardEps = eventsPerSec;
-      scaling.row()
-          .cell(threads)
-          .cell(shards)
-          .cell(shards > 1 ? "partitioned" : "fused")
-          .cell(runResult.wallSeconds, 4)
-          .cell(eventsPerSec, 6)
-          .cell(runResult.queue.queuedOps)
-          .cell(runResult.queue.crossShardOps)
-          .cell(singleShardEps > 0.0 ? eventsPerSec / singleShardEps : 0.0, 3);
-      if (ctx.sink != nullptr) {
-        // append chain, not operator+: GCC 12 -Wrestrict false positive
-        // (bug 105329) on chained string concatenation under -O3.
-        std::string rowName = ctx.activeScenario;
-        rowName.append("/s").append(std::to_string(shards));
-        rowName.append("t").append(std::to_string(threads));
-        ctx.sink->writeThroughput(rowName, runResult.events, eventsPerSec);
-      }
-    }
-  }
-  std::string title =
-      "[serve] shard-scaling sweep (same trace + seed per row; final "
-      "states asserted byte-identical)";
-  if (!skippedThreads.empty()) {
-    title.append("; skipped thread counts beyond this machine's ");
-    title.append(std::to_string(hardware)).append(" cores:");
-    for (const int t : skippedThreads) {
-      title.push_back(' ');
-      title.append(std::to_string(t));
-    }
-  }
-  ctx.emitTimingTable(scaling, title);
-
-  Table summary({"events", "final gap", "live balls", "total load", "migrations"});
-  summary.row()
-      .cell(events)
-      .cell(finalGap)
-      .cell(finalLive)
-      .cell(finalTotal)
-      .cell(finalMigrations);
-  ctx.emitTable(summary,
-                "[serve] scaling sweep semantic outcome (identical for every row)");
 }
 
 }  // namespace
@@ -448,10 +296,8 @@ void registerServe(ScenarioRegistry& r) {
       {"n", "int", "256 (scaled)", "bins"},
       {"events", "int", "6e6 (scaled)", "trace length"},
       {"d", "int", "2", "arrival choices (snapshot-least-loaded of d bins)"},
-      {"shards", "int", "8", "decision partitions + apply-phase bin-ownership shards"},
       {"epoch", "int", "1024", "events per load snapshot"},
-      {"partitioned", "string", "auto", "apply mode: auto, 0/seq (fused), 1/part"},
-      {"repair", "int", "4", "cross-shard RLS repair moves per epoch"},
+      {"repair", "int", "4", "RLS repair moves per epoch"},
       {"lambda", "double", "1.0", "arrivals per bin per time unit"},
       {"mu", "double", "0.125", "per-ball departure rate"},
       {"resample", "double", "1.0", "per-ball RLS clock rate"},
@@ -492,22 +338,6 @@ void registerServe(ScenarioRegistry& r) {
   add("composed", "composable trace algebra (sum/modulate/overlay of factors)",
       {{"spec", "string", "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,32,8)",
         "trace algebra spec; factors/combinators listed by `rlslb traces`"}});
-  r.add({"serve_scaling",
-         "online serving: shard-scaling sweep of the partitioned apply (per-row "
-         "throughput records, byte-identical final states)",
-         "partitioned-apply execution study (shards/threads as pure perf knobs)",
-         runServeScaling,
-         {{"n", "int", "256 (scaled)", "bins"},
-          {"events", "int", "2e6 (scaled)", "trace length per sweep row"},
-          {"d", "int", "2", "arrival choices"},
-          {"epoch", "int", "1024", "events per load snapshot"},
-          {"repair", "int", "4", "cross-shard RLS repair moves per epoch"},
-          {"lambda", "double", "1.0", "arrivals per bin per time unit"},
-          {"mu", "double", "0.125", "per-ball departure rate"},
-          {"resample", "double", "1.0", "per-ball RLS clock rate"},
-          {"weight", "int", "1", "background ball weight"},
-          {"thread_list", "string", "1,2,4", "pool sizes to sweep (csv)"},
-          {"shard_list", "string", "1,2,4,8", "ownership shard counts to sweep (csv)"}}});
 }
 
 }  // namespace rlslb::scenario::builtin

@@ -42,6 +42,7 @@
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
 
@@ -107,13 +108,13 @@ void runCapacity(ScenarioContext& ctx) {
 
   std::vector<std::int64_t> nList;
   for (const std::string& t : nTokens) {
-    const std::int64_t n = std::stoll(t);
+    const std::int64_t n = util::parseInt64(t, "n_list");
     RLSLB_ASSERT_MSG(n >= 1, "n_list entries must be >= 1");
     nList.push_back(n);
   }
   std::vector<double> loadList;
   for (const std::string& t : loadTokens) {
-    const double load = std::stod(t);
+    const double load = util::parseDouble(t, "load_list");
     RLSLB_ASSERT_MSG(load > 0.0, "load_list entries must be > 0");
     loadList.push_back(load);
   }
@@ -261,7 +262,6 @@ void runCapacity(ScenarioContext& ctx) {
           opt.arrivalChoices = d;
           serve::OnlineAllocator allocator(opt);
           serve::LoopOptions loopOptions;
-          loopOptions.shards = static_cast<int>(ctx.params.getInt("shards", 1));
           loopOptions.epochEvents = epochEvents;
           loopOptions.repairMovesPerEpoch = repair;
           loopOptions.seed = cellSeed;
@@ -344,7 +344,6 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"resample", "double", "1.0", "per-ball RLS clock rate"},
           {"backend", "string", "compact",
            "compact (CompactAllocator) or dense (OnlineAllocator) serving state"},
-          {"shards", "int", "1", "dense-backend ownership shards (ignored for compact)"},
           {"budget_mb", "int", "2048",
            "skip cells whose predicted state exceeds this many MB (0 = no gate)"},
           {"conformance", "bool", "0 (run default)",

@@ -1,12 +1,12 @@
-// Frozen pre-partitioning serving loop: the differential reference for
-// tests/test_serve_partitioned.cpp.
+// Frozen serving loop: the differential reference for
+// tests/test_serve_differential.cpp.
 //
 // This is a verbatim test-only copy (PR 5 style) of serve::OnlineAllocator
 // and serve::ShardedEventLoop as they stood BEFORE the partitioned apply
 // landed: a parallel decision phase against the epoch-start snapshot, then
 // a single-threaded apply pass in trace order that re-validates the strict
 // local-search rule against live loads, then the per-epoch repair budget.
-// The partitioned loop's contract is byte-identity with THIS code — final
+// The production loop's contract is byte-identity with THIS code — final
 // load vector, every semantic counter, and the per-epoch gap trajectory —
 // for every (shards, threads, epochEvents, trace, seed) combination, so do
 // not "fix" or modernize it; it only changes if the serving semantics are

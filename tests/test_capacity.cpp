@@ -1,19 +1,22 @@
 // capacity/: the CompactAllocator + CapacityLoop equivalence contract --
 // byte-identical loads, counters, and gap trajectories against the dense
-// OnlineAllocator + ShardedEventLoop across the full (trace, seed, shards,
-// threads, apply mode) differential matrix -- plus the compact layout's
-// internal invariants, resident-byte accounting, and the budget-gate
-// estimator.
+// OnlineAllocator + ShardedEventLoop across a (trace, seed) differential
+// matrix -- plus the compact layout's internal invariants, resident-byte
+// accounting, the budget-gate estimator, and serve_capacity's list-param
+// parsing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "capacity/capacity_loop.hpp"
 #include "capacity/compact_allocator.hpp"
+#include "report/json.hpp"
 #include "runner/thread_pool.hpp"
+#include "scenario/scenario.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/compose.hpp"
@@ -93,20 +96,17 @@ Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   return out;
 }
 
-Outcome runDense(const std::string& spec, std::uint64_t seed, int shards, int threads,
-                 serve::ApplyMode applyMode) {
+Outcome runDense(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
   serve::AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   serve::OnlineAllocator allocator(options);
   serve::LoopOptions loopOptions;
-  loopOptions.shards = shards;
   loopOptions.epochEvents = kEpochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
-  loopOptions.applyMode = applyMode;
-  runner::ThreadPool pool(threads);
+  runner::ThreadPool pool(1);
   serve::ShardedEventLoop loop(allocator, loopOptions, pool);
   Outcome out;
   const serve::ShardedEventLoop::RunResult result =
@@ -124,8 +124,8 @@ Outcome runDense(const std::string& spec, std::uint64_t seed, int shards, int th
   return out;
 }
 
-// The tentpole contract: for every trace shape and seed, the compact
-// backend equals the dense one run at ANY (shards, threads, apply mode).
+// The equivalence contract: for every trace shape and seed, the compact
+// backend equals the dense one.
 TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
   const std::vector<std::string> specs = {
       "poisson",
@@ -134,28 +134,12 @@ TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
       "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,8,1)",
   };
   const std::vector<std::uint64_t> seeds = {1, 20170529};
-  struct DenseConfig {
-    int shards;
-    int threads;
-    serve::ApplyMode mode;
-  };
-  const std::vector<DenseConfig> configs = {
-      {1, 1, serve::ApplyMode::kSequential},
-      {4, 1, serve::ApplyMode::kSequential},
-      {4, 2, serve::ApplyMode::kPartitioned},
-      {8, 2, serve::ApplyMode::kPartitioned},
-  };
   for (const std::string& spec : specs) {
     for (const std::uint64_t seed : seeds) {
       const Outcome compact = runCompact(spec, seed);
       EXPECT_GT(compact.counters.events, 0);
-      for (const DenseConfig& cfg : configs) {
-        const std::string label = spec + " seed=" + std::to_string(seed) +
-                                  " shards=" + std::to_string(cfg.shards) +
-                                  " threads=" + std::to_string(cfg.threads);
-        const Outcome dense = runDense(spec, seed, cfg.shards, cfg.threads, cfg.mode);
-        expectEqualOutcomes(compact, dense, label);
-      }
+      expectEqualOutcomes(compact, runDense(spec, seed),
+                          spec + " seed=" + std::to_string(seed));
     }
   }
 }
@@ -180,7 +164,6 @@ TEST(CompactAllocator, RepairStreamMatchesDense) {
   dopt.bins = kBins;
   serve::OnlineAllocator dense(dopt);
   serve::LoopOptions dlo;
-  dlo.shards = 4;
   dlo.epochEvents = 64;
   dlo.repairMovesPerEpoch = 32;
   dlo.seed = 11;
@@ -213,7 +196,6 @@ TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
   dopt.invertAcceptance = true;
   serve::OnlineAllocator dense(dopt);
   serve::LoopOptions dlo;
-  dlo.shards = 1;
   dlo.epochEvents = kEpochEvents;
   dlo.seed = seed;
   runner::ThreadPool pool(1);
@@ -226,7 +208,7 @@ TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
 
 TEST(CompactAllocator, ResidentBytesBeatDenseAndEstimateTracksActual) {
   const Outcome compact = runCompact("poisson", 2);
-  const Outcome dense = runDense("poisson", 2, 1, 1, serve::ApplyMode::kSequential);
+  const Outcome dense = runDense("poisson", 2);
   // The whole point of the backend: materially fewer bytes for the same
   // observable state.
   EXPECT_LT(compact.residentBytes, dense.residentBytes);
@@ -277,6 +259,48 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   EXPECT_EQ(allocator.counters().arrivals, 6);
   EXPECT_EQ(allocator.counters().departures, 1);
   EXPECT_EQ(allocator.maxWeightSeen(), 1);
+}
+
+// ------------------------------------------- serve_capacity list params
+
+/// Runs serve_capacity with `params` and returns its JSONL output.
+std::string runCapacityScenario(const std::vector<std::string>& params) {
+  scenario::ScenarioRegistry registry;
+  scenario::registerBuiltinScenarios(registry);
+  std::ostringstream out;
+  report::ResultSink sink(&out);
+  scenario::ScenarioContext ctx;
+  ctx.sink = &sink;
+  ctx.console = nullptr;
+  std::string error;
+  EXPECT_TRUE(scenario::ScenarioParams::fromTokens(params, &ctx.params, &error)) << error;
+  registry.runOne("serve_capacity", ctx);
+  EXPECT_TRUE(ctx.params.unusedKeys().empty());
+  return out.str();
+}
+
+TEST(ServeCapacityParams, ScientificListEntryIsParsedExactly) {
+  // A numeric-prefix parse would read "2e3" as 2; list entries go through
+  // the same parser as scalar int params, which takes the shorthand exactly.
+  const std::string jsonl =
+      runCapacityScenario({"n_list=2e3", "load_list=1", "epb=1", "backend=compact"});
+  std::vector<std::int64_t> cellBins;
+  std::istringstream in(jsonl);
+  std::string line;
+  while (std::getline(in, line)) {
+    const report::Json rec = report::Json::parse(line);
+    if (rec.at("type").asString() != "frontier") continue;
+    cellBins.push_back(rec.at("n").asInt());
+    EXPECT_EQ(rec.at("events").asInt(), 2000);
+  }
+  EXPECT_EQ(cellBins, (std::vector<std::int64_t>{2000}));
+}
+
+TEST(ServeCapacityParamsDeathTest, TrailingJunkInAListEntryAborts) {
+  EXPECT_DEATH(runCapacityScenario({"n_list=64", "load_list=2x", "epb=1"}),
+               "parameter load_list=2x: not a number");
+  EXPECT_DEATH(runCapacityScenario({"n_list=64x", "load_list=1", "epb=1"}),
+               "parameter n_list=64x: not an integer");
 }
 
 }  // namespace

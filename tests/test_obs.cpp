@@ -1,8 +1,6 @@
 // Telemetry-layer coverage (src/obs/):
-//   - MetricsRegistry: handle semantics, histogram bucketing, and the
-//     merge-determinism contract — per-shard slabs written from parallel
-//     workers sum to the same merged values for every shard count and
-//     thread count;
+//   - MetricsRegistry: handle semantics, histogram bucketing, and
+//     clear/reset;
 //   - the zero-allocation contract with metrics ATTACHED: steady-state
 //     serving epochs stay heap-silent while exporting counters, gauges,
 //     histograms, and phase timings (registration, the one allocating
@@ -111,78 +109,15 @@ TEST(MetricsRegistry_, ClearKeepsRegistrationsResetDropsThem) {
   m.add(c, 5);
   m.set(g, 3.5);
   m.observe(h, 2);
-  m.configureShards(4);
-  m.addShard(3, c, 7);
 
   m.clear();
   EXPECT_FALSE(m.empty()) << "clear() keeps the registrations";
-  EXPECT_EQ(m.shards(), 4) << "clear() keeps the shard layout";
   EXPECT_EQ(m.counterValue(c), 0);
   EXPECT_EQ(m.gaugeValue(g), 0.0);
   EXPECT_EQ(m.histTotal(h), 0);
 
   m.reset();
   EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.shards(), 1);
-}
-
-TEST(MetricsRegistry_, ConfigureShardsGrowthKeepsExistingValues) {
-  MetricsRegistry m;
-  const CounterId c = m.counter("c");
-  m.configureShards(2);
-  m.addShard(0, c, 10);
-  m.addShard(1, c, 20);
-  m.configureShards(8);  // growth: old slabs survive, new ones are zero
-  m.addShard(7, c, 3);
-  EXPECT_EQ(m.counterValue(c), 33);
-}
-
-// The merge-determinism contract: distributing a fixed logical workload
-// of increments/observations across S owner shards, written concurrently
-// by a pool of T threads, merges to the same totals for every (S, T).
-TEST(MetricsRegistry_, MergeIsDeterministicAcrossShardAndThreadCounts) {
-  constexpr std::int64_t kOps = 4096;
-
-  // Reference: everything through shard 0, sequentially.
-  std::int64_t refCounter = 0;
-  MetricsRegistry ref;
-  const CounterId refC = ref.counter("c");
-  const HistId refH = ref.histogram("h", {4, 16, 64});
-  for (std::int64_t i = 0; i < kOps; ++i) {
-    ref.add(refC, i % 7);
-    ref.observe(refH, i % 100);
-    refCounter += i % 7;
-  }
-  ASSERT_EQ(ref.counterValue(refC), refCounter);
-
-  for (const int shards : {1, 3, 8}) {
-    for (const int threads : {1, 2, 4}) {
-      MetricsRegistry m;
-      const CounterId c = m.counter("c");
-      const HistId h = m.histogram("h", {4, 16, 64});
-      m.configureShards(shards);
-      runner::ThreadPool pool(threads);
-      // Shard s owns ops i with i % shards == s -- the same ownership
-      // discipline the partitioned apply uses, so concurrent addShard
-      // calls never touch the same slab.
-      pool.parallelFor(shards, [&](std::int64_t s) {
-        const int shard = static_cast<int>(s);
-        for (std::int64_t i = shard; i < kOps; i += shards) {
-          m.addShard(shard, c, i % 7);
-          m.observeShard(shard, h, i % 100);
-        }
-      });
-      EXPECT_EQ(m.counterValue(c), refCounter) << "shards=" << shards
-                                               << " threads=" << threads;
-      EXPECT_EQ(m.histCounts(h), ref.histCounts(refH))
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(m.histTotal(h), kOps);
-      // The snapshot is deterministic too (names in registration order,
-      // merged integer values).
-      EXPECT_EQ(m.toJson().dump(), ref.toJson().dump())
-          << "shards=" << shards << " threads=" << threads;
-    }
-  }
 }
 
 // --------------------------------------------- serving-loop integration
@@ -228,54 +163,48 @@ serve::OnlineAllocator makeBalancedAllocator(std::int64_t bins, std::int64_t bal
 }
 
 // Metrics attached, steady state: epochs after the first allocate nothing.
-// Registration (name -> handle, slab layout) is the only allocating step
+// Registration (name -> handle, array growth) is the only allocating step
 // and must be folded into epoch 0 / setup.
 TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
-  for (const int threads : {1, 2}) {
-    constexpr std::int64_t kEpochEvents = 256;
-    constexpr std::int64_t kEpochs = 16;
-    serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
-    ASSERT_EQ(allocator.gap(), 0);
+  constexpr std::int64_t kEpochEvents = 256;
+  constexpr std::int64_t kEpochs = 16;
+  serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
+  ASSERT_EQ(allocator.gap(), 0);
 
-    runner::ThreadPool pool(threads);
-    MetricsRegistry metrics;
-    serve::LoopOptions options;
-    options.shards = 4;
-    options.epochEvents = kEpochEvents;
-    options.repairMovesPerEpoch = 4;
-    options.seed = 11;
-    options.applyMode = serve::ApplyMode::kPartitioned;
-    options.metrics = &metrics;
-    serve::ShardedEventLoop loop(allocator, options, pool);
+  runner::ThreadPool pool(1);
+  MetricsRegistry metrics;
+  serve::LoopOptions options;
+  options.epochEvents = kEpochEvents;
+  options.repairMovesPerEpoch = 4;
+  options.seed = 11;
+  options.metrics = &metrics;
+  serve::ShardedEventLoop loop(allocator, options, pool);
 
-    ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
-    std::vector<std::int64_t> perEpoch;
-    perEpoch.reserve(64);
-    std::int64_t last = 0;
-    g_allocCount.store(0);
-    g_countAllocs.store(true);
-    const auto result = loop.run(trace, [&](const serve::EpochStats&) {
-      const std::int64_t now = allocCount();
-      perEpoch.push_back(now - last);
-      last = now;
-    });
-    g_countAllocs.store(false);
+  ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
+  std::vector<std::int64_t> perEpoch;
+  perEpoch.reserve(64);
+  std::int64_t last = 0;
+  g_allocCount.store(0);
+  g_countAllocs.store(true);
+  const auto result = loop.run(trace, [&](const serve::EpochStats&) {
+    const std::int64_t now = allocCount();
+    perEpoch.push_back(now - last);
+    last = now;
+  });
+  g_countAllocs.store(false);
 
-    ASSERT_EQ(result.epochs, kEpochs);
-    ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kEpochs));
-    for (std::size_t i = 1; i < perEpoch.size(); ++i) {
-      EXPECT_EQ(perEpoch[i], 0)
-          << "epoch " << i << " allocated with metrics attached (threads=" << threads
-          << ")";
-    }
-    // The export is live: every event and epoch was counted.
-    EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")),
-              kEpochEvents * kEpochs);
-    EXPECT_EQ(metrics.counterValue(metrics.counter("serve.epochs")), kEpochs);
-    EXPECT_EQ(metrics.histTotal(metrics.histogram(
-                  "serve.epoch_gap", {0, 1, 2, 4, 8, 16, 32, 64, 128})),
-              kEpochs);
+  ASSERT_EQ(result.epochs, kEpochs);
+  ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kEpochs));
+  for (std::size_t i = 1; i < perEpoch.size(); ++i) {
+    EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated with metrics attached";
   }
+  // The export is live: every event and epoch was counted.
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")),
+            kEpochEvents * kEpochs);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.epochs")), kEpochs);
+  EXPECT_EQ(metrics.histTotal(metrics.histogram(
+                "serve.epoch_gap", {0, 1, 2, 4, 8, 16, 32, 64, 128})),
+            kEpochs);
 }
 
 // The full observability stack live -- metrics (including the epoch-ns
@@ -287,7 +216,7 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
   ASSERT_EQ(allocator.gap(), 0);
 
-  runner::ThreadPool pool(2);
+  runner::ThreadPool pool(1);
   MetricsRegistry metrics;
   MonitorSet monitors;
   ServeConformanceParams conformance;
@@ -299,11 +228,9 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   monitors.beginRun();
 
   serve::LoopOptions options;
-  options.shards = 4;
   options.epochEvents = kEpochEvents;
   options.repairMovesPerEpoch = 4;
   options.seed = 11;
-  options.applyMode = serve::ApplyMode::kPartitioned;
   options.metrics = &metrics;
   options.monitors = &monitors;
   serve::ShardedEventLoop loop(allocator, options, pool);
@@ -347,18 +274,15 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
     workload::PoissonTrace trace(base, 17);
     serve::OnlineAllocator allocator(
         serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
-    runner::ThreadPool pool(2);
+    runner::ThreadPool pool(1);
     serve::LoopOptions options;
-    options.shards = 8;
     options.epochEvents = 512;
     options.repairMovesPerEpoch = 4;
     options.seed = 5;
-    options.applyMode = serve::ApplyMode::kPartitioned;
     options.metrics = metrics;
     serve::ShardedEventLoop loop(allocator, options, pool);
-    const auto result = loop.run(trace);
-    return std::make_pair(allocator.loads(),
-                          std::make_pair(allocator.counters(), result.queue));
+    loop.run(trace);
+    return std::make_pair(allocator.loads(), allocator.counters());
   };
 
   MetricsRegistry metrics;
@@ -366,7 +290,7 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
   const auto plain = runOnce(nullptr);
   EXPECT_EQ(observed.first, plain.first) << "metrics changed the run's outcome";
 
-  const serve::ServeCounters& c = observed.second.first;
+  const serve::ServeCounters& c = observed.second;
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")), c.events);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.arrivals")), c.arrivals);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.departures")), c.departures);
@@ -375,12 +299,6 @@ TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
             c.rejectedMoves);
   EXPECT_EQ(metrics.counterValue(metrics.counter("serve.repair_migrations")),
             c.repairMigrations);
-  const serve::QueueStats& q = observed.second.second;
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.queued_ops")), q.queuedOps);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.cross_shard_ops")),
-            q.crossShardOps);
-  // Every queued op is drained exactly once across the shard drains.
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.drained_ops")), q.queuedOps);
 }
 
 // ---------------------------------------------------------------- trace
@@ -418,7 +336,6 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
   // A worker-track event, as ThreadPool records per-job spans.
   runner::ThreadPool pool(2);
   pool.setTraceWriter(&w);
-  pool.setTraceLabel("job_span");
   pool.parallelFor(64, [](std::int64_t) {});
   pool.setTraceWriter(nullptr);
 
@@ -457,7 +374,7 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
         innerTs = e.at("ts").asDouble();
         innerEnd = innerTs + e.at("dur").asDouble();
         EXPECT_EQ(e.at("cat").asString(), "phase");
-      } else if (name == "job_span") {
+      } else if (name == "parallelFor") {
         sawJobSpan = true;
       }
     } else if (ph == "C") {
@@ -489,12 +406,10 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     workload::PoissonTrace traceGen(base, 23);
     serve::OnlineAllocator allocator(
         serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
-    runner::ThreadPool pool(2);
+    runner::ThreadPool pool(1);
     serve::LoopOptions options;
-    options.shards = 8;
     options.epochEvents = 512;
     options.seed = 5;
-    options.applyMode = serve::ApplyMode::kPartitioned;
     options.trace = trace;
     serve::ShardedEventLoop loop(allocator, options, pool);
     loop.run(traceGen);
@@ -510,8 +425,8 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
   std::ostringstream out;
   ASSERT_TRUE(attached.writeTo(out));
   const std::string doc = out.str();
-  for (const char* phase : {"\"epoch\"", "\"decide\"", "\"resolve\"", "\"drain\"",
-                            "\"repair\"", "\"flush\""}) {
+  for (const char* phase : {"\"epoch\"", "\"decide\"", "\"apply\"", "\"repair\"",
+                            "\"flush\""}) {
     EXPECT_NE(doc.find(phase), std::string::npos) << "missing span " << phase;
   }
 }

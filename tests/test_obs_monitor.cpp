@@ -11,7 +11,7 @@
 //     error-severity anomalies;
 //   - the determinism contract: gap-sketch snapshots and anomaly
 //     sequences from simulated-state monitors are byte-identical across
-//     shard and thread configurations;
+//     runs;
 //   - process-side integration through obs::ProcessProbe: the RLS
 //     dynamic converges inside the envelope with no anomalies.
 #include <gtest/gtest.h>
@@ -45,10 +45,6 @@ CheckSample healthyServeSample(std::int64_t step) {
   s.arrivals = 60 + step;
   s.departures = 10 + step;
   s.migrations = 5 + step;
-  s.queuedOps = 80;
-  s.crossShardOps = 20;
-  s.queuePeak = 40;
-  s.drainedOps = 80;
   return s;
 }
 
@@ -83,14 +79,6 @@ TEST(LoadConservationMonitor_, FlagsBrokenInvariantsAsErrors) {
   s = healthyServeSample(1);
   s.totalLoad = s.liveBalls - 1;
   EXPECT_GE(errorsFor(s), 1) << "load below live";
-
-  s = healthyServeSample(1);
-  s.drainedOps = s.queuedOps - 3;
-  EXPECT_GE(errorsFor(s), 1) << "drained != queued";
-
-  s = healthyServeSample(1);
-  s.crossShardOps = s.queuedOps + 1;
-  EXPECT_GE(errorsFor(s), 1) << "cross-shard > queued";
 
   // Monotonicity: a re-used step index must be flagged.
   MonitorSet set;
@@ -246,8 +234,8 @@ struct ServeRun {
 };
 
 /// Drive one Poisson serve run with a DETERMINISTIC roster (conservation +
-/// gap envelope; no wall-clock drift monitor) under the given config.
-ServeRun runServeWithMonitors(int shards, int threads, bool invert) {
+/// gap envelope; no wall-clock drift monitor).
+ServeRun runServeWithMonitors(bool invert) {
   // Heavy load (~28 balls/bin at equilibrium): healthy RLS holds the gap
   // far inside the envelope, while the inverted dynamic has room to blow
   // it past 2x the bound.
@@ -265,7 +253,7 @@ ServeRun runServeWithMonitors(int shards, int threads, bool invert) {
   allocOptions.invertAcceptance = invert;
   serve::OnlineAllocator allocator(allocOptions);
 
-  runner::ThreadPool pool(threads);
+  runner::ThreadPool pool(1);
   MonitorSet monitors;
   monitors.add(std::make_unique<LoadConservationMonitor>());
   GapEnvelope envelope;
@@ -276,12 +264,9 @@ ServeRun runServeWithMonitors(int shards, int threads, bool invert) {
   monitors.beginRun();
 
   serve::LoopOptions options;
-  options.shards = shards;
   options.epochEvents = 512;
   options.repairMovesPerEpoch = 4;
   options.seed = 13;
-  options.applyMode =
-      shards > 1 ? serve::ApplyMode::kPartitioned : serve::ApplyMode::kSequential;
   options.monitors = &monitors;
   serve::ShardedEventLoop loop(allocator, options, pool);
   (void)loop.run(trace);
@@ -300,7 +285,7 @@ ServeRun runServeWithMonitors(int shards, int threads, bool invert) {
 }
 
 TEST(ServeConformance, HealthyRunIsAnomalyFree) {
-  const ServeRun run = runServeWithMonitors(8, 2, /*invert=*/false);
+  const ServeRun run = runServeWithMonitors(/*invert=*/false);
   EXPECT_GT(run.checks, 0);
   EXPECT_EQ(run.errors, 0);
   EXPECT_EQ(run.warnings, 0);
@@ -310,30 +295,21 @@ TEST(ServeConformance, HealthyRunIsAnomalyFree) {
 TEST(ServeConformance, InvertedAcceptanceTriggersGapEnvelopeErrors) {
   // The broken dynamic: accepting exactly the moves strict RLS rejects
   // drives load onto the fullest bins; the gap envelope must catch it.
-  const ServeRun run = runServeWithMonitors(8, 2, /*invert=*/true);
+  const ServeRun run = runServeWithMonitors(/*invert=*/true);
   EXPECT_GT(run.errors, 0);
   ASSERT_FALSE(run.anomalies.empty());
   EXPECT_NE(run.anomalies.front().find("gap_envelope"), std::string::npos);
 }
 
-TEST(ServeConformance, SnapshotsAreByteIdenticalAcrossShardsAndThreads) {
-  const ServeRun ref = runServeWithMonitors(1, 1, /*invert=*/false);
-  for (const int shards : {1, 4, 8}) {
-    for (const int threads : {1, 2, 4}) {
-      const ServeRun run = runServeWithMonitors(shards, threads, false);
-      EXPECT_EQ(run.loads, ref.loads) << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(run.checks, ref.checks);
-      EXPECT_EQ(run.gapSketchJson, ref.gapSketchJson)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(run.anomalies, ref.anomalies)
-          << "shards=" << shards << " threads=" << threads;
-    }
+TEST(ServeConformance, SnapshotsAreByteIdenticalAcrossRuns) {
+  for (const bool invert : {false, true}) {
+    const ServeRun ref = runServeWithMonitors(invert);
+    const ServeRun run = runServeWithMonitors(invert);
+    EXPECT_EQ(run.loads, ref.loads) << "invert=" << invert;
+    EXPECT_EQ(run.checks, ref.checks);
+    EXPECT_EQ(run.gapSketchJson, ref.gapSketchJson) << "invert=" << invert;
+    EXPECT_EQ(run.anomalies, ref.anomalies) << "invert=" << invert;
   }
-  // The broken dynamic's anomaly sequence is deterministic too.
-  const ServeRun brokenRef = runServeWithMonitors(1, 1, true);
-  const ServeRun broken = runServeWithMonitors(8, 4, true);
-  EXPECT_EQ(broken.anomalies, brokenRef.anomalies);
-  ASSERT_FALSE(brokenRef.anomalies.empty());
 }
 
 // --------------------------------------------- process-probe integration

@@ -1,7 +1,7 @@
-// serve/: OnlineAllocator state invariants, the sharded event loop's
-// invariance contract (final load vector identical across shard counts AND
-// thread counts), RLS's balance benefit over placement-only serving, and
-// the serve_* scenarios' byte-determinism through the JSONL sink.
+// serve/: OnlineAllocator state invariants, the event loop's epoch
+// observer, RLS's balance benefit over placement-only serving, and the
+// serve_* scenarios' byte-determinism (across runs and --threads) through
+// the JSONL sink.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -35,19 +35,17 @@ struct LoopOutcome {
   std::int64_t gap = 0;
 };
 
-LoopOutcome runLoop(int shards, int threads, std::int64_t events,
-                    std::uint64_t seed = 99) {
+LoopOutcome runLoop(std::int64_t events, std::uint64_t seed = 99) {
   workload::PoissonTrace trace(traceOptions(events), seed);
   AllocatorOptions allocOptions;
   allocOptions.bins = 32;
   allocOptions.arrivalChoices = 2;
   OnlineAllocator allocator(allocOptions);
   LoopOptions loopOptions;
-  loopOptions.shards = shards;
   loopOptions.epochEvents = 256;
   loopOptions.repairMovesPerEpoch = 4;
   loopOptions.seed = seed;
-  runner::ThreadPool pool(threads);
+  runner::ThreadPool pool(1);
   ShardedEventLoop loop(allocator, loopOptions, pool);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, events);
@@ -56,16 +54,8 @@ LoopOutcome runLoop(int shards, int threads, std::int64_t events,
           allocator.totalLoad(), allocator.gap()};
 }
 
-bool countersEqual(const ServeCounters& a, const ServeCounters& b) {
-  return a.events == b.events && a.arrivals == b.arrivals &&
-         a.departures == b.departures && a.resamples == b.resamples &&
-         a.migrations == b.migrations && a.rejectedMoves == b.rejectedMoves &&
-         a.repairAttempts == b.repairAttempts &&
-         a.repairMigrations == b.repairMigrations;
-}
-
 TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
-  const LoopOutcome out = runLoop(/*shards=*/4, /*threads=*/1, /*events=*/8000);
+  const LoopOutcome out = runLoop(/*events=*/8000);
   EXPECT_EQ(out.counters.events, 8000);
   EXPECT_EQ(out.liveBalls, out.counters.arrivals - out.counters.departures);
   std::int64_t total = 0;
@@ -82,30 +72,11 @@ TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
             out.counters.migrations + out.counters.rejectedMoves);
 }
 
-TEST(ShardedEventLoop, FinalStateInvariantAcrossShardCounts) {
-  const LoopOutcome one = runLoop(/*shards=*/1, /*threads=*/1, /*events=*/6000);
-  for (const int shards : {2, 5, 16}) {
-    const LoopOutcome other = runLoop(shards, /*threads=*/1, /*events=*/6000);
-    EXPECT_EQ(one.loads, other.loads) << "shards=" << shards;
-    EXPECT_TRUE(countersEqual(one.counters, other.counters)) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedEventLoop, FinalStateInvariantAcrossThreadCounts) {
-  const LoopOutcome serial = runLoop(/*shards=*/8, /*threads=*/1, /*events=*/6000);
-  for (const int threads : {2, 4}) {
-    const LoopOutcome parallel = runLoop(/*shards=*/8, threads, /*events=*/6000);
-    EXPECT_EQ(serial.loads, parallel.loads) << "threads=" << threads;
-    EXPECT_TRUE(countersEqual(serial.counters, parallel.counters))
-        << "threads=" << threads;
-  }
-}
-
 TEST(ShardedEventLoop, EpochObserverSeesEveryEvent) {
   workload::PoissonTrace trace(traceOptions(1000), 7);
   OnlineAllocator allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 1});
   runner::ThreadPool pool(1);
-  ShardedEventLoop loop(allocator, LoopOptions{.shards = 2, .epochEvents = 128}, pool);
+  ShardedEventLoop loop(allocator, LoopOptions{.epochEvents = 128}, pool);
   std::int64_t observed = 0;
   std::int64_t epochs = 0;
   std::int64_t lastEpoch = -1;
@@ -190,81 +161,36 @@ std::string runServeScenario(const std::string& name, std::uint64_t seed, int th
   return out.str();
 }
 
-TEST(ServeScenarios, ByteIdenticalAcrossRunsThreadsAndShards) {
+TEST(ServeScenarios, ByteIdenticalAcrossRunsAndThreads) {
   const std::vector<std::string> params = {"n=32", "events=20000", "epoch=256"};
   for (const std::string name : {"serve_poisson", "serve_adversarial"}) {
     const std::string a = deterministicRecords(runServeScenario(name, 5, 1, params));
     const std::string b = deterministicRecords(runServeScenario(name, 5, 1, params));
-    const std::string c = deterministicRecords(runServeScenario(name, 5, 3, params));
+    const std::string c = deterministicRecords(runServeScenario(name, 5, 4, params));
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, b) << name << ": same seed, same threads";
     EXPECT_EQ(a, c) << name << ": same seed, different threads";
-    // Different shard count: the tables themselves must not move (the
-    // param shows up only in scenario_start, which embeds the overrides).
-    std::vector<std::string> sharded = params;
-    sharded.push_back("shards=3");
-    const std::string d = runServeScenario(name, 5, 1, sharded);
-    std::istringstream in(deterministicRecords(d));
-    std::string line;
-    std::string tablesOnly;
-    std::string tablesA;
-    while (std::getline(in, line)) {
-      if (line.find("\"type\":\"table\"") != std::string::npos) tablesOnly += line + "\n";
-    }
-    std::istringstream inA(a);
-    while (std::getline(inA, line)) {
-      if (line.find("\"type\":\"table\"") != std::string::npos) tablesA += line + "\n";
-    }
-    EXPECT_EQ(tablesA, tablesOnly) << name << ": same seed, different shard count";
     const std::string e = deterministicRecords(runServeScenario(name, 6, 1, params));
     EXPECT_NE(a, e) << name << ": a different seed must change the tables";
   }
 }
 
-TEST(ServeScenarios, PartitionedKnobPreservesTheDeterministicRecords) {
-  // partitioned= flips the apply execution strategy only; the scenario's
-  // deterministic records must not move. threads=3 gives the auto and
-  // forced-partitioned paths real workers.
-  const std::vector<std::string> base = {"n=32", "events=20000", "epoch=256"};
-  const auto with = [&](const std::string& mode) {
-    std::vector<std::string> params = base;
-    params.push_back("partitioned=" + mode);
-    return deterministicRecords(runServeScenario("serve_poisson", 5, 3, params));
-  };
-  const std::string sequential = with("0");
-  EXPECT_FALSE(sequential.empty());
-  // scenario_start embeds the overrides, so compare the tables only.
-  const auto tables = [](const std::string& records) {
-    std::istringstream in(records);
-    std::string line;
-    std::string out;
-    while (std::getline(in, line)) {
-      if (line.find("\"type\":\"table\"") != std::string::npos) out += line + "\n";
-    }
-    return out;
-  };
-  EXPECT_EQ(tables(sequential), tables(with("1")));
-  EXPECT_EQ(tables(sequential), tables(with("auto")));
-  EXPECT_EQ(tables(sequential), tables(with("seq")));
-  EXPECT_EQ(tables(sequential), tables(with("part")));
-}
-
-TEST(ServeScenarios, ScalingSweepEmitsPerRowThroughput) {
-  const std::string jsonl = runServeScenario(
-      "serve_scaling", 4, 1,
-      {"n=16", "events=4000", "epoch=128", "thread_list=1", "shard_list=1,2"});
-  std::vector<std::string> names;
-  std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    const report::Json rec = report::Json::parse(line);
-    if (rec.at("type").asString() != "throughput") continue;
-    names.push_back(rec.at("scenario").asString());
-    EXPECT_EQ(rec.at("events").asInt(), 4000);
-    EXPECT_GT(rec.at("events_per_sec").asDouble(), 0.0);
+TEST(ServeScenarios, RemovedExecutionKnobsAreUnknownParams) {
+  // The serving loop has one execution path; shards= and partitioned= are
+  // not read, so the driver rejects them as unknown params.
+  for (const std::string knob : {"shards=8", "partitioned=0"}) {
+    scenario::ScenarioRegistry registry;
+    scenario::registerBuiltinScenarios(registry);
+    scenario::ScenarioContext ctx;
+    ctx.console = nullptr;
+    std::string error;
+    ASSERT_TRUE(scenario::ScenarioParams::fromTokens({"n=16", "events=2000", knob},
+                                                     &ctx.params, &error))
+        << error;
+    registry.runOne("serve_poisson", ctx);
+    EXPECT_EQ(ctx.params.unusedKeys(),
+              (std::vector<std::string>{knob.substr(0, knob.find('='))}));
   }
-  EXPECT_EQ(names,
-            (std::vector<std::string>{"serve_scaling/s1t1", "serve_scaling/s2t1"}));
 }
 
 TEST(ServeScenarios, ThroughputRecordEmitted) {

@@ -8,8 +8,8 @@
 //   - the deferred-accounting lazy flush (merged-view accessors agree with
 //     eager bookkeeping without an explicit flush call).
 // The byte-identity of the snapshot-free decision phase and the deferred
-// Fenwick/histogram flush against the pre-change behavior is pinned
-// separately by the differentials in tests/test_serve_partitioned.cpp.
+// Fenwick flush against the frozen reference loop is pinned separately by
+// the differentials in tests/test_serve_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -125,13 +125,11 @@ bool countersEqual(const ServeCounters& a, const ServeCounters& b) {
          a.repairMigrations == b.repairMigrations;
 }
 
-LoopOptions hotpathOptions(ApplyMode mode) {
+LoopOptions hotpathOptions() {
   LoopOptions options;
-  options.shards = 4;
   options.epochEvents = 256;
   options.repairMovesPerEpoch = 4;
   options.seed = 11;
-  options.applyMode = mode;
   return options;
 }
 
@@ -143,42 +141,35 @@ LoopOptions hotpathOptions(ApplyMode mode) {
 // second run of a reused loop continued the ordinal sequence and drew
 // different streams than a fresh loop.
 TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
-  for (const ApplyMode mode : {ApplyMode::kSequential, ApplyMode::kPartitioned}) {
-    const AllocatorOptions allocOpts{.bins = 24, .arrivalChoices = 2};
-    const LoopOptions options = hotpathOptions(mode);
-    runner::ThreadPool pool(2);
+  const AllocatorOptions allocOpts{.bins = 24, .arrivalChoices = 2};
+  const LoopOptions options = hotpathOptions();
+  runner::ThreadPool pool(1);
 
-    // Universe A: one loop reused across both traces.
-    OnlineAllocator reusedAlloc(allocOpts);
-    ShardedEventLoop reusedLoop(reusedAlloc, options, pool);
-    auto traceA1 = makePoisson(24, 2048, 3);
-    reusedLoop.run(*traceA1);
-    OffsetBalls traceA2(makePoisson(24, 1536, 7), 1'000'000);
-    const auto reusedResult = reusedLoop.run(traceA2);
+  // Universe A: one loop reused across both traces.
+  OnlineAllocator reusedAlloc(allocOpts);
+  ShardedEventLoop reusedLoop(reusedAlloc, options, pool);
+  auto traceA1 = makePoisson(24, 2048, 3);
+  reusedLoop.run(*traceA1);
+  OffsetBalls traceA2(makePoisson(24, 1536, 7), 1'000'000);
+  const auto reusedResult = reusedLoop.run(traceA2);
 
-    // Universe B: same allocator lifetime, but a fresh loop per trace.
-    OnlineAllocator freshAlloc(allocOpts);
-    {
-      ShardedEventLoop first(freshAlloc, options, pool);
-      auto traceB1 = makePoisson(24, 2048, 3);
-      first.run(*traceB1);
-    }
-    ShardedEventLoop second(freshAlloc, options, pool);
-    OffsetBalls traceB2(makePoisson(24, 1536, 7), 1'000'000);
-    const auto freshResult = second.run(traceB2);
-
-    const auto m = static_cast<int>(mode);
-    EXPECT_EQ(reusedAlloc.loads(), freshAlloc.loads()) << "mode=" << m;
-    EXPECT_TRUE(countersEqual(reusedAlloc.counters(), freshAlloc.counters()))
-        << "mode=" << m;
-    EXPECT_EQ(reusedAlloc.liveBalls(), freshAlloc.liveBalls()) << "mode=" << m;
-    EXPECT_EQ(reusedResult.events, freshResult.events) << "mode=" << m;
-    EXPECT_EQ(reusedResult.epochs, freshResult.epochs) << "mode=" << m;
-    EXPECT_EQ(reusedResult.queue.queuedOps, freshResult.queue.queuedOps) << "mode=" << m;
-    EXPECT_EQ(reusedResult.queue.crossShardOps, freshResult.queue.crossShardOps)
-        << "mode=" << m;
-    EXPECT_TRUE(reusedAlloc.validate()) << "mode=" << m;
+  // Universe B: same allocator lifetime, but a fresh loop per trace.
+  OnlineAllocator freshAlloc(allocOpts);
+  {
+    ShardedEventLoop first(freshAlloc, options, pool);
+    auto traceB1 = makePoisson(24, 2048, 3);
+    first.run(*traceB1);
   }
+  ShardedEventLoop second(freshAlloc, options, pool);
+  OffsetBalls traceB2(makePoisson(24, 1536, 7), 1'000'000);
+  const auto freshResult = second.run(traceB2);
+
+  EXPECT_EQ(reusedAlloc.loads(), freshAlloc.loads());
+  EXPECT_TRUE(countersEqual(reusedAlloc.counters(), freshAlloc.counters()));
+  EXPECT_EQ(reusedAlloc.liveBalls(), freshAlloc.liveBalls());
+  EXPECT_EQ(reusedResult.events, freshResult.events);
+  EXPECT_EQ(reusedResult.epochs, freshResult.epochs);
+  EXPECT_TRUE(reusedAlloc.validate());
 }
 
 // ------------------------------------------------------- zero allocation
@@ -188,10 +179,9 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
 // is by construction, not by stochastic convergence), a resample-only
 // trace is rejected by the strict rule from the first event on. The
 // deferred accounting never marks a bin dirty, and all epoch-scoped
-// storage (batch, decisions, buckets, queues, parallelFor closures) is
-// reused at its first-epoch capacity — so every epoch after the first must
-// perform zero heap allocations.
-void expectSteadyStateAllocFree(ApplyMode mode, int threads) {
+// storage (batch, decisions) is reused at its first-epoch capacity — so
+// every epoch after the first must perform zero heap allocations.
+TEST(SteadyStateAllocations, FusedPathIsAllocationFree) {
   constexpr std::int64_t kBins = 64;
   constexpr std::int64_t kBalls = 256;  // exactly 4 per bin: gap 0
   constexpr std::int64_t kEpochEvents = 256;
@@ -207,8 +197,8 @@ void expectSteadyStateAllocFree(ApplyMode mode, int threads) {
   }
   ASSERT_EQ(allocator.gap(), 0);
 
-  runner::ThreadPool pool(threads);
-  LoopOptions options = hotpathOptions(mode);
+  runner::ThreadPool pool(1);
+  LoopOptions options = hotpathOptions();
   options.epochEvents = kEpochEvents;
   ShardedEventLoop loop(allocator, options, pool);
 
@@ -233,27 +223,13 @@ void expectSteadyStateAllocFree(ApplyMode mode, int threads) {
   EXPECT_EQ(allocator.gap(), 0);
   EXPECT_EQ(allocator.counters().migrations, 0);
   EXPECT_EQ(allocator.counters().repairMigrations, 0);
-  // Epoch 0 may allocate (buffers grow to capacity, closures are built);
-  // every later epoch must be allocation-free.
+  // Epoch 0 may allocate (buffers grow to capacity); every later epoch
+  // must be allocation-free.
   ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kResampleEpochs));
   for (std::size_t i = 1; i < perEpoch.size(); ++i) {
-    EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated (mode="
-                              << static_cast<int>(mode) << ", threads=" << threads
-                              << ")";
+    EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated";
   }
   EXPECT_TRUE(allocator.validate());
-}
-
-TEST(SteadyStateAllocations, FusedPathIsAllocationFree) {
-  expectSteadyStateAllocFree(ApplyMode::kSequential, 1);
-}
-
-TEST(SteadyStateAllocations, PartitionedPathIsAllocationFree) {
-  expectSteadyStateAllocFree(ApplyMode::kPartitioned, 1);
-}
-
-TEST(SteadyStateAllocations, PartitionedParallelDrainIsAllocationFree) {
-  expectSteadyStateAllocFree(ApplyMode::kPartitioned, 2);
 }
 
 // ---------------------------------------------------------- lazy flush
@@ -287,12 +263,11 @@ TEST(DeferredAccounting, AccessorsReconcileWithoutAnExplicitFlush) {
   EXPECT_EQ(allocator.totalLoad(), total);
   EXPECT_TRUE(allocator.validate());
 
-  // Repartitioning with deltas still pending must not strand them either.
+  // A delta left pending by a later apply() reconciles lazily too.
   workload::Event depart;
   depart.kind = workload::EventKind::kDepart;
   depart.ball = 0;
   allocator.apply(depart, Decision{});
-  allocator.configurePartitions(4, /*enableRouter=*/true);
   EXPECT_TRUE(allocator.validate());
   EXPECT_EQ(allocator.totalLoad(), total - 1);
 }
