@@ -261,20 +261,6 @@ int main(int argc, char** argv) {
   scenario::ScenarioContext ctx = scenario::contextFromArgs(args);
   scenario::applyParamTokens(ctx, paramTokens);
 
-  // watch = run with the conformance roster defaulted on and a live
-  // renderer observing the monitor set (the observer survives the
-  // per-scenario MonitorSet::clear()).
-  std::unique_ptr<obs::WatchRenderer> watcher;
-  if (watchMode) {
-    ctx.conformanceDefault = true;
-    obs::WatchRenderer::Options wo;
-    wo.envelope.n = ctx.params.getInt("n", ctx.sized(256));
-    wo.envelope.d = static_cast<int>(ctx.params.getInt("d", 2));
-    wo.showBound = names.front().rfind("serve", 0) == 0;
-    watcher = std::make_unique<obs::WatchRenderer>(std::cout, wo);
-    watcher->attach(ctx.monitors);
-  }
-
   const std::string outPath = args.getString("out", "");
   const std::string tracePath = args.getString("trace-out", "");
   const auto unusedFlags = args.unusedKeys();
@@ -282,15 +268,36 @@ int main(int argc, char** argv) {
     for (const auto& k : unusedFlags) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
     return 2;
   }
-  scenario::ResultOutput out;
-  if (!out.attach(outPath, ctx)) return 2;
-  scenario::TraceOutput traceOut;
-  traceOut.attach(tracePath, ctx);
-
   std::vector<std::string> toRun = names;
   if (command == "all") {
     for (const scenario::Scenario* s : registry.list()) toRun.push_back(s->name);
   }
+  // Unknown scenario names, key=value params no scenario about to run
+  // declares, and malformed watch params exit 2 before anything runs or
+  // is written.
+  std::unique_ptr<obs::WatchRenderer> watcher;
+  try {
+    registry.checkParams(toRun, ctx.params);
+    // watch = run with the conformance roster defaulted on and a live
+    // renderer observing the monitor set (the observer survives the
+    // per-scenario MonitorSet::clear()).
+    if (watchMode) {
+      ctx.conformanceDefault = true;
+      obs::WatchRenderer::Options wo;
+      wo.envelope.n = ctx.params.getInt("n", ctx.sized(256));
+      wo.envelope.d = static_cast<int>(ctx.params.getInt("d", 2));
+      wo.showBound = names.front().rfind("serve", 0) == 0;
+      watcher = std::make_unique<obs::WatchRenderer>(std::cout, wo);
+      watcher->attach(ctx.monitors);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  scenario::ResultOutput out;
+  if (!out.attach(outPath, ctx)) return 2;
+  scenario::TraceOutput traceOut;
+  traceOut.attach(tracePath, ctx);
 
   for (const std::string& name : toRun) {
     try {

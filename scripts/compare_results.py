@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Compare a results.jsonl run against the committed perf baseline.
 
-CI runs `rlslb all --scale=small --out=results.jsonl` and calls
+CI runs `rlslb all --scale=small --threads=1 --out=results.jsonl` (the
+baseline's flags: single-threaded, so the replication-parallel scenarios
+and the single-threaded serve loops scale alike) and calls
 
     scripts/compare_results.py results.jsonl BENCH_baseline.json
 
@@ -139,7 +141,7 @@ def main():
             "comment": "per-scenario wall-clock + events/sec baseline for "
                        "scripts/compare_results.py; regenerate with "
                        "--write-baseline after intentional perf changes",
-            "flags": "rlslb all --scale=small",
+            "flags": "rlslb all --scale=small --threads=1",
             "scenarios": {name: round(w, 4) for name, w in sorted(walls.items())},
             "throughput": {name: round(eps, 1)
                            for name, eps in sorted(throughput.items())},

@@ -6,7 +6,7 @@
 
 namespace rlslb::capacity {
 
-CompactAllocator::CompactAllocator(const CompactOptions& options)
+CompactAllocator::CompactAllocator(const serve::AllocatorOptions& options)
     : options_(options),
       loads_(static_cast<std::size_t>(options.bins), 0),
       flushedLoad_(static_cast<std::size_t>(options.bins), 0),
@@ -14,11 +14,11 @@ CompactAllocator::CompactAllocator(const CompactOptions& options)
       dirtyMark_(static_cast<std::size_t>(options.bins), 0),
       binHead_(static_cast<std::size_t>(options.bins), -1),
       binTail_(static_cast<std::size_t>(options.bins), -1) {
-  RLSLB_ASSERT_MSG(options_.bins >= 1, "CompactOptions.bins must be >= 1");
+  RLSLB_ASSERT_MSG(options_.bins >= 1, "AllocatorOptions.bins must be >= 1");
   RLSLB_ASSERT_MSG(options_.bins <= INT32_MAX,
                    "compact backend addresses bins with int32");
   RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1,
-                   "CompactOptions.arrivalChoices must be >= 1");
+                   "AllocatorOptions.arrivalChoices must be >= 1");
 }
 
 std::int32_t CompactAllocator::allocChunk() {
@@ -166,8 +166,8 @@ void CompactAllocator::applyBatch(const workload::Event* events,
         const serve::Decision& decision = decisions[i];
         RLSLB_ASSERT(decision.bin >= 0 && decision.bin < options_.bins);
         RLSLB_ASSERT_MSG(event.weight == 1,
-                         "CompactAllocator serves unit-weight traffic only (use the "
-                         "dense backend for weighted traces)");
+                         "CompactAllocator serves unit-weight traffic only (use "
+                         "serve::OnlineAllocator for weighted traces)");
         ++arrivals;
         maxWeightSeen_ = 1;
         placeBall(event.ball, decision.bin);
@@ -253,33 +253,8 @@ bool CompactAllocator::repairMove(rng::Xoshiro256pp& eng) {
   return true;
 }
 
-std::vector<std::int64_t> CompactAllocator::loadsCopy() const {
-  return {loads_.begin(), loads_.end()};
-}
-
-std::int64_t CompactAllocator::minLoad() const {
-  std::int32_t lo = loads_[0];
-  for (const std::int32_t v : loads_) lo = std::min(lo, v);
-  return lo;
-}
-
-std::int64_t CompactAllocator::maxLoad() const {
-  std::int32_t hi = loads_[0];
-  for (const std::int32_t v : loads_) hi = std::max(hi, v);
-  return hi;
-}
-
 sim::BalanceState CompactAllocator::balanceState() const {
-  sim::BalanceState state;
-  state.numBins = numBins();
-  state.numBalls = totalLoad_;
-  state.minLoad = minLoad();
-  state.maxLoad = maxLoad();
-  const std::int64_t ceilAvg = (state.numBalls + state.numBins - 1) / state.numBins;
-  for (const std::int32_t v : loads_) {
-    if (v > ceilAvg) state.overloadedBalls += v - ceilAvg;
-  }
-  return state;
+  return serve::scanBalance(loads_, totalLoad_);
 }
 
 std::int64_t CompactAllocator::residentBytes() const {

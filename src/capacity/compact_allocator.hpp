@@ -22,13 +22,14 @@
 // ~20 bytes per bin, versus ~60-100 bytes per ball dense.
 //
 // Equivalence contract (pinned by tests/test_capacity.cpp): driven by
-// capacity::CapacityLoop over the same trace and seed, this backend
-// produces byte-identical observable output — loads, gap trajectory, every
-// ServeCounters field, the repair stream — to OnlineAllocator under
-// ShardedEventLoop. Every rng draw sequence (d-choice, resample candidate,
-// the repair ticket/pick/candidate triple) and every ordering decision
-// (per-bin append / swap-remove slots) is replicated exactly, and both
-// backends pick the repair bin with the same global Fenwick upperBound.
+// serve::EpochLoop over the same trace and seed, this allocator produces
+// byte-identical observable output — loads, gap trajectory, every
+// ServeCounters field, the repair stream — to OnlineAllocator. Both share
+// the decision rule (serve::decideOver) and the balance scan
+// (serve::scanBalance); every other rng draw sequence (the repair
+// ticket/pick/candidate triple) and every ordering decision (per-bin
+// append / swap-remove slots) is replicated exactly, and both pick the
+// repair bin with the same global Fenwick upperBound.
 #pragma once
 
 #include <cstdint>
@@ -42,45 +43,16 @@
 
 namespace rlslb::capacity {
 
-/// Knobs mirrored from serve::AllocatorOptions (weights are fixed at 1, so
-/// there is no weight knob to mirror).
-struct CompactOptions {
-  std::int64_t bins = 256;
-  int arrivalChoices = 2;
-  bool invertAcceptance = false;  // TEST HOOK; see serve::AllocatorOptions
-};
-
 class CompactAllocator {
  public:
-  explicit CompactAllocator(const CompactOptions& options);
+  /// Every arrive must carry weight 1, and options.bins must fit int32.
+  explicit CompactAllocator(const serve::AllocatorOptions& options);
 
-  /// Pure decision phase against the live int32 load array; draw-for-draw
-  /// identical to OnlineAllocator::decide on the same loads (ties keep the
-  /// first draw; comparisons are value-equal since loads fit int32).
+  /// Decision phase against the live int32 load array (serve::decideOver;
+  /// draw-for-draw the dense decision, since loads fit int32).
   [[nodiscard]] serve::Decision decide(const workload::Event& event,
                                        rng::Xoshiro256pp& eng) const {
-    const auto n = static_cast<std::uint64_t>(loads_.size());
-    serve::Decision d;
-    switch (event.kind) {
-      case workload::EventKind::kArrive: {
-        auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-        for (int c = 1; c < options_.arrivalChoices; ++c) {
-          const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-          if (loads_[static_cast<std::size_t>(candidate)] <
-              loads_[static_cast<std::size_t>(best)]) {
-            best = candidate;
-          }
-        }
-        d.bin = best;
-        break;
-      }
-      case workload::EventKind::kResample:
-        d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-        break;
-      case workload::EventKind::kDepart:
-        break;
-    }
-    return d;
+    return serve::decideOver(loads_, options_.arrivalChoices, event, eng);
   }
 
   /// Fused apply of a whole batch in trace order; per-event semantics and
@@ -106,14 +78,18 @@ class CompactAllocator {
   [[nodiscard]] std::int64_t liveBalls() const { return totalLoad_; }  // unit weights
   [[nodiscard]] std::int64_t maxWeightSeen() const { return maxWeightSeen_; }
   [[nodiscard]] const serve::ServeCounters& counters() const { return counters_; }
-  [[nodiscard]] const std::vector<std::int32_t>& loads32() const { return loads_; }
-  /// Widened copy for differential comparison against the dense backend.
-  [[nodiscard]] std::vector<std::int64_t> loadsCopy() const;
-  [[nodiscard]] std::int64_t minLoad() const;
-  [[nodiscard]] std::int64_t maxLoad() const;
-  [[nodiscard]] std::int64_t gap() const { return maxLoad() - minLoad(); }
-  /// Same closed-system view the dense balanceState() exposes.
+  [[nodiscard]] const std::vector<std::int32_t>& loads() const { return loads_; }
+  /// Widened copy for differential comparison against the dense allocator.
+  [[nodiscard]] std::vector<std::int64_t> loadsCopy() const {
+    return {loads_.begin(), loads_.end()};
+  }
+  /// Same closed-system view (and the same out-of-line scan) the dense
+  /// balanceState() exposes.
   [[nodiscard]] sim::BalanceState balanceState() const;
+  [[nodiscard]] std::int64_t gap() const {
+    const sim::BalanceState s = balanceState();
+    return s.maxLoad - s.minLoad;
+  }
   [[nodiscard]] std::int64_t flushedBins() const { return flushedBins_; }
 
   /// Heap bytes of every structure, O(1) from capacities — the number the
@@ -156,7 +132,7 @@ class CompactAllocator {
   void removeBall(std::int64_t ball, std::int32_t bin, std::int32_t slot);
   void moveBall(std::int64_t ball, std::int32_t fromBin, std::int32_t toBin);
 
-  CompactOptions options_;
+  serve::AllocatorOptions options_;
   std::vector<std::int32_t> loads_;        // live per-bin ball counts
   std::vector<std::int32_t> flushedLoad_;  // Fenwick view, lags by dirty_
   ds::Fenwick<std::int64_t> mass_;         // repair bin sampling

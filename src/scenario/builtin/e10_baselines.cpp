@@ -41,7 +41,11 @@ void runBaselines(ScenarioContext& ctx) {
 
   // `process=` filters the synchronous roster of section (C), e.g.
   //   rlslb run e10_baselines process=threshold
+  // Split up front so a malformed list fails before any section runs.
   const std::string processFilter = ctx.params.getString("process", "");
+  const std::vector<std::string> processKinds =
+      processFilter.empty() ? std::vector<std::string>{}
+                            : util::splitList(processFilter, ',', "process");
 
   // ------------------------------------------------ (A) strict variant
   {
@@ -159,10 +163,10 @@ void runBaselines(ScenarioContext& ctx) {
           {"threshold T=avg [1]", "threshold"},
       };
       std::vector<Row> rows;
-      if (processFilter.empty()) {
+      if (processKinds.empty()) {
         rows.assign(std::begin(allRows), std::end(allRows));
       } else {
-        for (const std::string& kind : util::splitCsv(processFilter)) {
+        for (const std::string& kind : processKinds) {
           bool known = false;
           for (const Row& row : allRows) {
             if (kind == row.kind) {

@@ -189,7 +189,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   }
 
   serve::OnlineAllocator allocator(allocOptions);
-  serve::ShardedEventLoop loop(allocator, loopOptions, ctx.pool());
+  serve::EpochLoop loop(allocator, loopOptions);
 
   const std::int64_t checkpointEvery = std::max<std::int64_t>(1, totalEpochs / 8);
   const std::int64_t warmupEpochs = totalEpochs / 4;
@@ -198,8 +198,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   std::int64_t gapEpochs = 0;
   std::int64_t maxGap = 0;
   std::vector<double> epochNs;
-  const serve::ShardedEventLoop::RunResult runResult =
-      loop.run(*source, [&](const serve::EpochStats& s) {
+  const auto runResult = loop.run(*source, [&](const serve::EpochStats& s) {
     if (s.epoch % checkpointEvery == 0 || s.epoch + 1 == totalEpochs) {
       trajectory.row()
           .cell(s.epoch)
@@ -217,7 +216,7 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
     if (s.events > 0) {
       epochNs.push_back(s.wallSeconds * 1e9 / static_cast<double>(s.events));
     }
-      });
+  });
   const auto& c = allocator.counters();
 
   if (loopOptions.trace == &localTrace) {

@@ -13,27 +13,23 @@
 //     skipped deterministically (CompactAllocator::estimateBytes), with a
 //     "skipped" row and a frontier record carrying the estimate.
 //
-// backend=compact (default) runs capacity::CompactAllocator under the
-// sequential capacity::CapacityLoop; backend=dense runs the same cells
-// through the dense OnlineAllocator + ShardedEventLoop. Cell seeds do not
-// include the backend, so the two backends replay identical traces and --
-// by the equivalence contract pinned in tests/test_capacity.cpp -- land on
-// byte-identical deterministic tables; only the memory/timing columns
-// differ. That is the bytes-per-ball before/after experiment in
-// docs/EXPERIMENTS.md.
+// Every cell runs capacity::CompactAllocator under the one serving epoch
+// driver, serve::EpochLoop. The dense OnlineAllocator reproduces the same
+// deterministic tables on unit-weight traces (tests/test_capacity.cpp pins
+// the differential); the `backend` column and frontier field read
+// `compact`.
 //
 // Params: n_list (csv bins sweep), load_list (csv lambda/mu sweep; mu =
 // lambda/L with lambda fixed at 1), traces (';'-separated compose specs),
 // epb (events per expected ball, scaled), epoch, repair, d, resample,
-// backend, budget_mb, conformance. The compact backend requires unit
-// weights: hotspot factors must use weight 1.
+// budget_mb, conformance. Compact state requires unit weights: hotspot
+// factors must use weight 1.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "capacity/capacity_loop.hpp"
 #include "capacity/compact_allocator.hpp"
 #include "obs/memory.hpp"
 #include "obs/monitor.hpp"
@@ -49,29 +45,6 @@
 namespace rlslb::scenario::builtin {
 
 namespace {
-
-std::vector<std::string> splitList(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t end = text.find(sep, start);
-    const std::string token =
-        text.substr(start, end == std::string::npos ? std::string::npos : end - start);
-    RLSLB_ASSERT_MSG(!token.empty(), "empty entry in a list param");
-    out.push_back(token);
-    if (end == std::string::npos) break;
-    start = end + 1;
-  }
-  RLSLB_ASSERT_MSG(!out.empty(), "list param must not be empty");
-  return out;
-}
-
-/// Rough dense-backend footprint for the budget gate (FlatMap ball records
-/// at <= 3/4 load plus per-bin vectors); the compact side uses the exact
-/// CompactAllocator::estimateBytes.
-std::int64_t denseEstimateBytes(std::int64_t bins, std::int64_t liveBalls) {
-  return liveBalls * 56 + bins * 64;
-}
 
 struct CellResult {
   std::int64_t events = 0;
@@ -89,21 +62,18 @@ struct CellResult {
 
 void runCapacity(ScenarioContext& ctx) {
   const std::vector<std::string> nTokens =
-      splitList(ctx.params.getString("n_list", "1000000"), ',');
+      util::splitList(ctx.params.getString("n_list", "1000000"), ',', "n_list");
   const std::vector<std::string> loadTokens =
-      splitList(ctx.params.getString("load_list", "8"), ',');
+      util::splitList(ctx.params.getString("load_list", "8"), ',', "load_list");
   const std::vector<std::string> traceSpecs =
-      splitList(ctx.params.getString("traces", "poisson"), ';');
+      util::splitList(ctx.params.getString("traces", "poisson"), ';', "traces");
   const std::int64_t epb = ctx.params.getInt("epb", ctx.sized(4));
   const std::int64_t epochEvents = ctx.params.getInt("epoch", 1024);
   const int repair = static_cast<int>(ctx.params.getInt("repair", 4));
   const int d = static_cast<int>(ctx.params.getInt("d", 2));
   const double resample = ctx.params.getDouble("resample", 1.0);
-  const std::string backend = ctx.params.getString("backend", "compact");
   const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
   const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
-  RLSLB_ASSERT_MSG(backend == "compact" || backend == "dense",
-                   "backend= must be compact or dense");
   RLSLB_ASSERT_MSG(epb >= 1 && epochEvents >= 1, "epb and epoch must be >= 1");
 
   std::vector<std::int64_t> nList;
@@ -174,19 +144,17 @@ void runCapacity(ScenarioContext& ctx) {
         const auto ballsEverEstimate =
             expectedLive + static_cast<std::int64_t>(arrivalShare * static_cast<double>(events));
         const std::int64_t estimate =
-            backend == "compact"
-                ? capacity::CompactAllocator::estimateBytes(n, ballsEverEstimate, expectedLive)
-                : denseEstimateBytes(n, expectedLive);
+            capacity::CompactAllocator::estimateBytes(n, ballsEverEstimate, expectedLive);
         const std::string loadText = report::formatJsonNumber(load);
 
         report::Json cell = report::Json::object();
         cell.set("n", n);
         cell.set("load_factor", load);
         cell.set("trace", traceName);
-        cell.set("backend", backend);
+        cell.set("backend", "compact");
 
         if (budgetMb > 0 && estimate > budgetMb * 1024 * 1024) {
-          sweep.row().cell(n).cell(loadText).cell(traceName).cell(backend).cell(events)
+          sweep.row().cell(n).cell(loadText).cell(traceName).cell("compact").cell(events)
               .cell(0).cell(0).cell(0).cell(0.0, 4).cell(0).cell("skipped");
           cell.set("skipped", true);
           cell.set("estimated_bytes", estimate);
@@ -199,8 +167,7 @@ void runCapacity(ScenarioContext& ctx) {
           continue;
         }
 
-        // Cell seed from the sweep coordinates only -- NOT the backend --
-        // so compact and dense replay identical traces and streams.
+        // Cell seed from the sweep coordinates only.
         const std::uint64_t cellSeed = rng::streamSeed(
             ctx.seed, stableHash("capacity:" + std::to_string(n) + ":" + loadText +
                                  ":" + traceName));
@@ -234,51 +201,27 @@ void runCapacity(ScenarioContext& ctx) {
           }
         };
 
-        if (backend == "compact") {
-          capacity::CompactOptions opt;
-          opt.bins = n;
-          opt.arrivalChoices = d;
-          capacity::CompactAllocator allocator(opt);
-          capacity::CapacityLoopOptions loopOptions;
-          loopOptions.epochEvents = epochEvents;
-          loopOptions.repairMovesPerEpoch = repair;
-          loopOptions.seed = cellSeed;
-          loopOptions.metrics = &ctx.metrics;
-          loopOptions.monitors = monitors;
-          capacity::CapacityLoop loop(allocator, loopOptions);
-          const capacity::CapacityLoop::RunResult run = loop.run(trace, onEpoch);
-          r.events = run.events;
-          r.epochs = run.epochs;
-          r.wallSeconds = run.wallSeconds;
-          r.arrivals = allocator.counters().arrivals;
-          r.migrations =
-              allocator.counters().migrations + allocator.counters().repairMigrations;
-          r.finalGap = allocator.gap();
-          r.stateBytes = allocator.residentBytes();
-          r.liveBalls = allocator.liveBalls();
-        } else {
-          serve::AllocatorOptions opt;
-          opt.bins = n;
-          opt.arrivalChoices = d;
-          serve::OnlineAllocator allocator(opt);
-          serve::LoopOptions loopOptions;
-          loopOptions.epochEvents = epochEvents;
-          loopOptions.repairMovesPerEpoch = repair;
-          loopOptions.seed = cellSeed;
-          loopOptions.metrics = &ctx.metrics;
-          loopOptions.monitors = monitors;
-          serve::ShardedEventLoop loop(allocator, loopOptions, ctx.pool());
-          const serve::ShardedEventLoop::RunResult run = loop.run(trace, onEpoch);
-          r.events = run.events;
-          r.epochs = run.epochs;
-          r.wallSeconds = run.wallSeconds;
-          r.arrivals = allocator.counters().arrivals;
-          r.migrations =
-              allocator.counters().migrations + allocator.counters().repairMigrations;
-          r.finalGap = allocator.gap();
-          r.stateBytes = allocator.residentBytes();
-          r.liveBalls = allocator.liveBalls();
-        }
+        serve::AllocatorOptions opt;
+        opt.bins = n;
+        opt.arrivalChoices = d;
+        capacity::CompactAllocator allocator(opt);
+        serve::LoopOptions loopOptions;
+        loopOptions.epochEvents = epochEvents;
+        loopOptions.repairMovesPerEpoch = repair;
+        loopOptions.seed = cellSeed;
+        loopOptions.metrics = &ctx.metrics;
+        loopOptions.trace = ctx.trace;
+        loopOptions.monitors = monitors;
+        serve::EpochLoop loop(allocator, loopOptions);
+        const auto run = loop.run(trace, onEpoch);
+        r.events = run.events;
+        r.epochs = run.epochs;
+        r.wallSeconds = run.wallSeconds;
+        r.arrivals = allocator.counters().arrivals;
+        r.migrations = allocator.counters().migrations + allocator.counters().repairMigrations;
+        r.finalGap = allocator.gap();
+        r.stateBytes = allocator.residentBytes();
+        r.liveBalls = allocator.liveBalls();
         r.meanGap = gapEpochs > 0 ? gapSum / static_cast<double>(gapEpochs) : 0.0;
         std::sort(epochNs.begin(), epochNs.end());
         r.p99Ns = epochNs.empty()
@@ -293,7 +236,7 @@ void runCapacity(ScenarioContext& ctx) {
                 : 0.0;
         const std::int64_t peakRss = obs::peakRssBytes();
 
-        sweep.row().cell(n).cell(loadText).cell(traceName).cell(backend).cell(r.events)
+        sweep.row().cell(n).cell(loadText).cell(traceName).cell("compact").cell(r.events)
             .cell(r.arrivals).cell(r.migrations).cell(r.finalGap).cell(r.meanGap, 4)
             .cell(r.maxGap).cell("ok");
         timing.row().cell(n).cell(loadText).cell(traceName).cell(r.wallSeconds, 4)
@@ -319,8 +262,8 @@ void runCapacity(ScenarioContext& ctx) {
     }
   }
 
-  ctx.emitTable(sweep, "[capacity] frontier sweep, backend=" + backend +
-                           " (deterministic gap/counter view; skipped = over budget_mb)");
+  ctx.emitTable(sweep, "[capacity] frontier sweep, backend=compact (deterministic "
+                      "gap/counter view; skipped = over budget_mb)");
   ctx.emitTimingTable(timing, "[capacity] frontier wall-clock and memory "
                               "(events/sec, p99 ns/event, resident state, bytes/ball)");
 }
@@ -342,8 +285,6 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"repair", "int", "4", "RLS repair moves per epoch"},
           {"d", "int", "2", "arrival choices"},
           {"resample", "double", "1.0", "per-ball RLS clock rate"},
-          {"backend", "string", "compact",
-           "compact (CompactAllocator) or dense (OnlineAllocator) serving state"},
           {"budget_mb", "int", "2048",
            "skip cells whose predicted state exceeds this many MB (0 = no gate)"},
           {"conformance", "bool", "0 (run default)",

@@ -153,13 +153,19 @@ int runStandalone(int argc, char** argv, const std::string& scenarioName) {
     for (const auto& k : unused) std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
     return 2;
   }
+  registerBuiltinScenarios();
+  const ScenarioRegistry& registry = ScenarioRegistry::global();
+  // Undeclared key=value params exit 2 before anything runs or is written.
+  try {
+    registry.checkParams({scenarioName}, ctx.params);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   ResultOutput out;
   if (!out.attach(outPath, ctx)) return 2;
   TraceOutput traceOut;
   traceOut.attach(tracePath, ctx);
-
-  registerBuiltinScenarios();
-  const ScenarioRegistry& registry = ScenarioRegistry::global();
 
   try {
     registry.runOne(scenarioName, ctx);

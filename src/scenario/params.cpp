@@ -63,6 +63,12 @@ std::vector<std::string> ScenarioParams::unusedKeys() const {
   return out;
 }
 
+std::vector<std::string> ScenarioParams::keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, _] : values_) out.push_back(k);
+  return out;
+}
+
 report::Json ScenarioParams::toJson() const {
   report::Json j = report::Json::object();
   for (const auto& [k, v] : values_) j.set(k, v);

@@ -40,6 +40,8 @@ class ScenarioParams {
   [[nodiscard]] std::vector<std::string> unusedKeys() const;
 
   [[nodiscard]] bool empty() const { return values_.empty(); }
+  /// Every key given, in key order (used or not).
+  [[nodiscard]] std::vector<std::string> keys() const;
 
   /// {"n":"1e6","gap":"2"} — raw strings, insertion into the scenario_start
   /// record, ordered by key for determinism.

@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <cstdio>
+#include <set>
 #include <stdexcept>
 
 #include "util/assert.hpp"
@@ -54,7 +55,7 @@ std::vector<const Scenario*> ScenarioRegistry::list() const {
   return out;
 }
 
-void ScenarioRegistry::runOne(const std::string& name, ScenarioContext& ctx) const {
+const Scenario& ScenarioRegistry::require(const std::string& name) const {
   const Scenario* s = find(name);
   if (s == nullptr) {
     std::string known;
@@ -64,6 +65,30 @@ void ScenarioRegistry::runOne(const std::string& name, ScenarioContext& ctx) con
     }
     throw std::out_of_range("unknown scenario '" + name + "' (known: " + known + ")");
   }
+  return *s;
+}
+
+void ScenarioRegistry::checkParams(const std::vector<std::string>& names,
+                                   const ScenarioParams& params) const {
+  std::set<std::string> declared;
+  std::string scenarios;
+  for (const std::string& name : names) {
+    for (const process::ParamSpec& p : require(name).params) declared.insert(p.name);
+    if (!scenarios.empty()) scenarios += ", ";
+    scenarios += name;
+  }
+  std::string message;
+  for (const std::string& key : params.keys()) {
+    if (declared.count(key) != 0) continue;
+    if (!message.empty()) message += '\n';
+    message.append("unknown parameter ").append(key).append(" (not declared by ")
+        .append(scenarios).append(")");
+  }
+  if (!message.empty()) throw std::invalid_argument(message);
+}
+
+void ScenarioRegistry::runOne(const std::string& name, ScenarioContext& ctx) const {
+  const Scenario* s = &require(name);
 
   ctx.activeScenario = s->name;
   if (ctx.console != nullptr) {

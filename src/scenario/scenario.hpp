@@ -150,7 +150,16 @@ class ScenarioRegistry {
   /// std::out_of_range (with the known-name list) on an unknown name.
   void runOne(const std::string& name, ScenarioContext& ctx) const;
 
+  /// The drivers' check before any scenario runs: throws std::out_of_range
+  /// (as runOne does) on an unknown name, and std::invalid_argument, one
+  /// line per key, when `params` holds a key that none of the named
+  /// scenarios declares in its ParamSpec list.
+  void checkParams(const std::vector<std::string>& names, const ScenarioParams& params) const;
+
  private:
+  /// The named scenario; throws std::out_of_range listing the roster.
+  [[nodiscard]] const Scenario& require(const std::string& name) const;
+
   std::map<std::string, Scenario> byName_;
 };
 

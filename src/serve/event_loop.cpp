@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "capacity/compact_allocator.hpp"
 #include "obs/memory.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/assert.hpp"
@@ -10,6 +11,11 @@
 namespace rlslb::serve {
 
 namespace {
+// Stream salts for the loop's two rng families, derived from
+// LoopOptions.seed via rng::streamSeed.
+constexpr std::uint64_t kDecisionStreamSalt = 0x64656373ULL;  // "decs"
+constexpr std::uint64_t kRepairStreamSalt = 0x72657061ULL;    // "repa"
+
 // Microseconds -> integer nanoseconds for the serve.phase.*_ns counters.
 std::int64_t spanNs(double beginUs, double endUs) {
   const double ns = (endUs - beginUs) * 1e3;
@@ -17,15 +23,16 @@ std::int64_t spanNs(double beginUs, double endUs) {
 }
 }  // namespace
 
-ShardedEventLoop::ShardedEventLoop(OnlineAllocator& allocator, const LoopOptions& options,
-                                   runner::ThreadPool& /*pool*/)
+template <class Allocator>
+EpochLoop<Allocator>::EpochLoop(Allocator& allocator, const LoopOptions& options)
     : allocator_(&allocator), options_(options) {
   RLSLB_ASSERT_MSG(options_.epochEvents >= 1, "LoopOptions.epochEvents must be >= 1");
   RLSLB_ASSERT_MSG(options_.repairMovesPerEpoch >= 0,
                    "LoopOptions.repairMovesPerEpoch must be >= 0");
 }
 
-void ShardedEventLoop::registerMetrics() {
+template <class Allocator>
+void EpochLoop<Allocator>::registerMetrics() {
   // Registration is the telemetry layer's only allocating step; doing it
   // once per loop (not once per run) keeps re-runs of a reused loop
   // allocation-free end to end (tests/test_obs.cpp pins this).
@@ -58,7 +65,8 @@ void ShardedEventLoop::registerMetrics() {
   metricsRegistered_ = true;
 }
 
-ShardedEventLoop::RunResult ShardedEventLoop::run(
+template <class Allocator>
+typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     workload::TraceGenerator& trace, const std::function<void(const EpochStats&)>& onEpoch) {
   // Multi-run contract: each run() is self-contained. A reused loop must
   // draw the same decision/repair streams a fresh loop would on the same
@@ -91,10 +99,6 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
   std::vector<workload::Event> batch;
   std::vector<Decision> decisions;
   batch.reserve(static_cast<std::size_t>(options_.epochEvents));
-  // The decision phase reads the live load array: every write to it
-  // happens in the apply/repair phases, strictly after the decision phase,
-  // so the bytes it sees are exactly the epoch-start snapshot.
-  const std::vector<std::int64_t>& liveLoads = allocator_->loads();
 
   for (;;) {
     batch.clear();
@@ -119,6 +123,9 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
     const std::int64_t baseOrdinal = nextOrdinal_;
     nextOrdinal_ += static_cast<std::int64_t>(batch.size());
 
+    // The decision phase reads the live load array: every write to it
+    // happens in the apply/repair phases, strictly after the decision
+    // phase, so the bytes it sees are exactly the epoch-start snapshot.
     if (decisions.size() < batch.size()) decisions.resize(batch.size());
     rng::Xoshiro256pp eng;
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -127,7 +134,7 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
       eng.reseed(rng::streamSeed(
           decisionSeed,
           static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
-      decisions[i] = allocator_->decide(e, liveLoads, eng);
+      decisions[i] = allocator_->decide(e, eng);
     }
     if (instrumented) tDecide1 = obs::nowUs();
 
@@ -238,5 +245,8 @@ ShardedEventLoop::RunResult ShardedEventLoop::run(
 
   return result;
 }
+
+template class EpochLoop<OnlineAllocator>;
+template class EpochLoop<capacity::CompactAllocator>;
 
 }  // namespace rlslb::serve

@@ -1,4 +1,9 @@
-// ShardedEventLoop: the serving subsystem's execution engine.
+// EpochLoop<Allocator>: the serving subsystem's one epoch driver, for
+// both allocators -- the dense OnlineAllocator (weighted balls, any ids)
+// and the compact capacity::CompactAllocator (unit weights, sequential
+// ids, a fraction of the bytes per ball). Allocator-specific code stays in
+// the allocators; the epoch body, its rng streams, timing, telemetry and
+// monitor export are written once here.
 //
 // Events are consumed in fixed-size *epochs* (bulk-synchronous style):
 //
@@ -26,15 +31,16 @@
 // ordinal-derived rng), apply order is the trace order, and the repair
 // stream is keyed by epoch index -- so the final load vector and every
 // semantic counter are a pure function of (trace, seed, epochEvents,
-// repairMovesPerEpoch), identical for every --threads value. Epoch length
+// repairMovesPerEpoch), identical for every --threads value and for both
+// allocators on unit-weight traces (tests/test_capacity.cpp). Epoch length
 // is a *semantic* knob (it sets snapshot staleness).
 //
-// Timing contract (pinned by tests/test_serve_differential.cpp):
-// EpochStats.wallSeconds covers exactly the epoch's decision phase, apply
-// phase, repair budget and flush. It excludes trace generation (the batch
-// fill), EpochStats assembly, and the onEpoch callback.
-// RunResult.wallSeconds is the exact sum of the per-epoch values -- no
-// extra terms.
+// Timing contract (pinned by tests/test_serve_differential.cpp for both
+// allocators): EpochStats.wallSeconds covers exactly the epoch's decision
+// phase, apply phase, repair budget and flush. It excludes trace
+// generation (the batch fill), EpochStats assembly, and the onEpoch
+// callback. RunResult.wallSeconds is the exact sum of the per-epoch values
+// -- no extra terms.
 #pragma once
 
 #include <cstdint>
@@ -50,16 +56,8 @@
 
 namespace rlslb::serve {
 
-/// Stream salts for the loop's two rng families, derived from
-/// LoopOptions.seed via rng::streamSeed. Exported (rather than file-local
-/// to event_loop.cpp) so alternative executors of the same dynamic — the
-/// capacity loop's compact backend (capacity/capacity_loop.hpp) — can
-/// reproduce the decision and repair streams byte-for-byte.
-inline constexpr std::uint64_t kDecisionStreamSalt = 0x64656373ULL;  // "decs"
-inline constexpr std::uint64_t kRepairStreamSalt = 0x72657061ULL;    // "repa"
-
 struct LoopOptions {
-  /// Unused; remains only so perfbench/traced_run.cpp, which sets it, compiles.
+  /// Unused; kept only because perfbench/traced_run.cpp sets it.
   int shards = 8;
   std::int64_t epochEvents = 1024;  // snapshot refresh granularity
   int repairMovesPerEpoch = 4;      // RLS repair activations per epoch
@@ -100,11 +98,16 @@ struct EpochStats {
   [[nodiscard]] std::int64_t gap() const { return balance.maxLoad - balance.minLoad; }
 };
 
-class ShardedEventLoop {
+/// Allocator is OnlineAllocator or capacity::CompactAllocator; the member
+/// functions are instantiated for exactly those two in event_loop.cpp.
+template <class Allocator>
+class EpochLoop {
  public:
-  /// The pool argument is unused; it remains only for perfbench/traced_run.cpp.
-  ShardedEventLoop(OnlineAllocator& allocator, const LoopOptions& options,
-                   runner::ThreadPool& /*pool*/);
+  EpochLoop(Allocator& allocator, const LoopOptions& options);
+  /// The pool is unused; this overload is kept only because
+  /// perfbench/traced_run.cpp passes one.
+  EpochLoop(Allocator& allocator, const LoopOptions& options, runner::ThreadPool& /*pool*/)
+      : EpochLoop(allocator, options) {}
 
   struct RunResult {
     std::int64_t events = 0;
@@ -137,12 +140,16 @@ class ShardedEventLoop {
   };
   void registerMetrics();
 
-  OnlineAllocator* allocator_;
+  Allocator* allocator_;
   LoopOptions options_;
   std::int64_t nextOrdinal_ = 0;  // event ordinal (decision streams); reset per run()
   std::int64_t nextEpoch_ = 0;    // repair-stream key; reset per run()
   MetricIds ids_;
   bool metricsRegistered_ = false;
 };
+
+/// The dense loop's old name, kept only because perfbench/traced_run.cpp
+/// uses it.
+using ShardedEventLoop = EpochLoop<OnlineAllocator>;
 
 }  // namespace rlslb::serve

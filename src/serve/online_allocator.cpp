@@ -1,7 +1,5 @@
 #include "serve/online_allocator.hpp"
 
-#include <algorithm>
-
 #include "rng/distributions.hpp"
 #include "util/assert.hpp"
 
@@ -198,37 +196,8 @@ std::int64_t OnlineAllocator::residentBytes() const {
   return bytes;
 }
 
-std::int64_t OnlineAllocator::minLoad() const {
-  // The lazy flush keeps the derived structures in step for callers that
-  // read between epochs; after the event loop's in-timer flush it is a
-  // no-op. The O(n) scan replaces a maintained level histogram: min/max
-  // are read a handful of times per epoch (outside the timed hot path), so
-  // paying for a scan here is far cheaper than paying per load change there.
-  const_cast<OnlineAllocator*>(this)->flush();
-  std::int64_t lo = loads_[0];
-  for (const std::int64_t v : loads_) lo = std::min(lo, v);
-  return lo;
-}
-
-std::int64_t OnlineAllocator::maxLoad() const {
-  const_cast<OnlineAllocator*>(this)->flush();
-  std::int64_t hi = loads_[0];
-  for (const std::int64_t v : loads_) hi = std::max(hi, v);
-  return hi;
-}
-
 sim::BalanceState OnlineAllocator::balanceState() const {
-  const_cast<OnlineAllocator*>(this)->flush();
-  sim::BalanceState state;
-  state.numBins = numBins();
-  state.numBalls = totalLoad_;  // total carried weight
-  state.minLoad = minLoad();
-  state.maxLoad = maxLoad();
-  const std::int64_t ceilAvg = (state.numBalls + state.numBins - 1) / state.numBins;
-  for (const std::int64_t v : loads_) {
-    if (v > ceilAvg) state.overloadedBalls += v - ceilAvg;
-  }
-  return state;
+  return scanBalance(loads_, totalLoad_);
 }
 
 bool OnlineAllocator::validate() const {

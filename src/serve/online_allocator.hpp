@@ -33,8 +33,12 @@
 // updates. There is no maintained level histogram: min/max/overload
 // queries are a per-epoch observation, so they scan the (always-current)
 // flat load array on demand instead of taxing every load change in the
-// hot loop. repairMove() flushes at entry, and the accessors (minLoad/
-// maxLoad/balanceState/validate) flush lazily.
+// hot loop. repairMove() and validate() flush at entry.
+//
+// This header also holds what both serving allocators share -- this one
+// and the compact capacity::CompactAllocator: the options, the Decision
+// and ServeCounters types, the decision rule (decideOver) and the balance
+// scan (scanBalance) -- so serve::EpochLoop drives either one.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +53,8 @@
 
 namespace rlslb::serve {
 
+/// Options of both serving allocators (the compact one serves unit
+/// weights only and addresses bins with int32).
 struct AllocatorOptions {
   std::int64_t bins = 256;
   int arrivalChoices = 2;  // d: snapshot-least-loaded of d sampled bins
@@ -77,17 +83,74 @@ struct ServeCounters {
   std::int64_t repairMigrations = 0; // accepted repair moves
 };
 
+/// The decision phase of both allocators: a pure function of the live
+/// load array, d, and the event's rng stream. Arrive: d-choice, the least
+/// loaded of `arrivalChoices` uniform samples (ties keep the first draw,
+/// so the choice is a deterministic function of the stream). Resample: a
+/// uniform candidate bin. Depart: no randomness. Inline so the event
+/// loop's per-event rng + decide sequence fuses into one loop body.
+template <class Load>
+[[nodiscard]] inline Decision decideOver(const std::vector<Load>& loads, int arrivalChoices,
+                                         const workload::Event& event,
+                                         rng::Xoshiro256pp& eng) {
+  const auto n = static_cast<std::uint64_t>(loads.size());
+  Decision d;
+  switch (event.kind) {
+    case workload::EventKind::kArrive: {
+      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      for (int c = 1; c < arrivalChoices; ++c) {
+        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+        if (loads[static_cast<std::size_t>(candidate)] <
+            loads[static_cast<std::size_t>(best)]) {
+          best = candidate;
+        }
+      }
+      d.bin = best;
+      break;
+    }
+    case workload::EventKind::kResample:
+      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
+      break;
+    case workload::EventKind::kDepart:
+      break;
+  }
+  return d;
+}
+
+/// The balance view of both allocators: min, max and the overloaded-ball
+/// excess over ceil(total / n) in one O(n) pass over the live load array.
+/// `totalWeight` is the carried weight, so discrepancy()/xBalanced() are
+/// in weight units.
+template <class Load>
+[[nodiscard]] inline sim::BalanceState scanBalance(const std::vector<Load>& loads,
+                                                   std::int64_t totalWeight) {
+  sim::BalanceState state;
+  state.numBins = static_cast<std::int64_t>(loads.size());
+  state.numBalls = totalWeight;
+  const std::int64_t ceilAvg = (totalWeight + state.numBins - 1) / state.numBins;
+  Load lo = loads[0];
+  Load hi = loads[0];
+  std::int64_t overloaded = 0;
+  for (const Load v : loads) {
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+    overloaded += v > ceilAvg ? v - ceilAvg : 0;
+  }
+  state.minLoad = lo;
+  state.maxLoad = hi;
+  state.overloadedBalls = overloaded;
+  return state;
+}
+
 class OnlineAllocator {
  public:
   explicit OnlineAllocator(const AllocatorOptions& options);
 
-  /// Pure decision phase: thread-safe with respect to *this (reads only
-  /// the options) — every mutable input is an argument. Defined inline
-  /// below so the event loop's per-event rng + decide sequence fuses into
-  /// one loop body.
+  /// Decision phase against the live load array (decideOver).
   [[nodiscard]] Decision decide(const workload::Event& event,
-                                const std::vector<std::int64_t>& snapshotLoads,
-                                rng::Xoshiro256pp& eng) const;
+                                rng::Xoshiro256pp& eng) const {
+    return decideOver(loads_, options_.arrivalChoices, event, eng);
+  }
 
   /// Fused apply: single-threaded, validates against live state.
   void apply(const workload::Event& event, const Decision& decision);
@@ -117,18 +180,16 @@ class OnlineAllocator {
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
   [[nodiscard]] std::int64_t liveBalls() const { return liveBalls_; }
-  /// O(n) scan of the live load array (these accessors flush lazily so the
-  /// derived structures reconcile too).
-  [[nodiscard]] std::int64_t minLoad() const;
-  [[nodiscard]] std::int64_t maxLoad() const;
-  /// max - min bin load: the serving analogue of the discrepancy.
-  [[nodiscard]] std::int64_t gap() const { return maxLoad() - minLoad(); }
   /// The live state as the closed-system balance view (sim::BalanceState,
-  /// the same vocabulary process::Process::state() speaks): numBalls is the
-  /// total carried *weight*, so discrepancy()/xBalanced() are in weight
-  /// units. min/max and the overloaded-ball excess are one O(n) scan of
-  /// the live load array.
+  /// the same vocabulary process::Process::state() speaks): one O(n)
+  /// scanBalance pass over the live load array. Out of line, so a caller
+  /// that times it and drops the result still pays for the scan.
   [[nodiscard]] sim::BalanceState balanceState() const;
+  /// max - min bin load: the serving analogue of the discrepancy.
+  [[nodiscard]] std::int64_t gap() const {
+    const sim::BalanceState s = balanceState();
+    return s.maxLoad - s.minLoad;
+  }
   /// Largest single ball weight ever seen: the closed-system balance floor
   /// for weighted traffic (a gap below the heaviest ball is unreachable).
   [[nodiscard]] std::int64_t maxWeightSeen() const { return maxWeightSeen_; }
@@ -182,35 +243,5 @@ class OnlineAllocator {
   std::int64_t liveBalls_ = 0;
   std::int64_t maxWeightSeen_ = 0;
 };
-
-inline Decision OnlineAllocator::decide(const workload::Event& event,
-                                        const std::vector<std::int64_t>& snapshotLoads,
-                                        rng::Xoshiro256pp& eng) const {
-  const auto n = static_cast<std::uint64_t>(snapshotLoads.size());
-  Decision d;
-  switch (event.kind) {
-    case workload::EventKind::kArrive: {
-      // d-choice over the snapshot: least loaded of `arrivalChoices`
-      // uniform samples (ties keep the first draw, so the choice is a
-      // deterministic function of the rng stream).
-      auto best = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      for (int c = 1; c < options_.arrivalChoices; ++c) {
-        const auto candidate = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-        if (snapshotLoads[static_cast<std::size_t>(candidate)] <
-            snapshotLoads[static_cast<std::size_t>(best)]) {
-          best = candidate;
-        }
-      }
-      d.bin = best;
-      break;
-    }
-    case workload::EventKind::kResample:
-      d.bin = static_cast<std::int32_t>(rng::uniformIndex(eng, n));
-      break;
-    case workload::EventKind::kDepart:
-      break;
-  }
-  return d;
-}
 
 }  // namespace rlslb::serve

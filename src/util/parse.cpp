@@ -2,19 +2,19 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-
-#include "util/assert.hpp"
+#include <stdexcept>
 
 namespace rlslb::util {
 
 namespace {
 
 [[noreturn]] void fail(const std::string& what, const std::string& text, const char* why) {
-  std::fprintf(stderr, "parameter %s=%s: %s\n", what.c_str(), text.c_str(), why);
-  RLSLB_ASSERT_MSG(false, "malformed parameter value");
-  std::abort();  // unreachable; RLSLB_ASSERT aborts
+  // append, not an operator+ chain: GCC 12 -O3 flags the chain with a
+  // false -Wrestrict (GCC bug 105329).
+  std::string message = "parameter ";
+  message.append(what).append("=").append(text).append(": ").append(why);
+  throw std::invalid_argument(message);
 }
 
 }  // namespace
@@ -45,18 +45,18 @@ double parseDouble(const std::string& text, const std::string& what) {
   return v;
 }
 
-std::vector<std::string> splitCsv(const std::string& csv) {
+std::vector<std::string> splitList(const std::string& text, char sep,
+                                   const std::string& what) {
+  if (text.empty()) fail(what, text, "empty list");
   std::vector<std::string> out;
   std::size_t start = 0;
-  while (start <= csv.size()) {
-    const std::size_t comma = csv.find(',', start);
-    const std::string token =
-        csv.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!token.empty()) out.push_back(token);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  for (;;) {
+    const std::size_t end = text.find(sep, start);
+    out.push_back(text.substr(start, end == std::string::npos ? end : end - start));
+    if (out.back().empty()) fail(what, text, "empty list entry");
+    if (end == std::string::npos) return out;
+    start = end + 1;
   }
-  return out;
 }
 
 bool parseBool(const std::string& text, const std::string& what) {

@@ -1,8 +1,9 @@
 // Typed parsing of `key=value` parameter strings, shared by the scenario
 // param layer (scenario/params.hpp) and the process param layer
-// (process/params.hpp). All three parsers fail loudly (RLSLB_ASSERT) on
-// malformed input -- a typo'd override must abort the run, never silently
-// fall back to a default.
+// (process/params.hpp). Every parser fails loudly on malformed input -- a
+// typo'd override must stop the run, never silently fall back to a
+// default -- by throwing std::invalid_argument with the message
+// "parameter <what>=<text>: <why>". The drivers catch it and exit 2.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,7 @@
 namespace rlslb::util {
 
 /// Plain decimal ("123") or exact-integral scientific shorthand ("1e6",
-/// "2.5e3"). Aborts on non-integral or out-of-range values; `what` names
+/// "2.5e3"). Throws on non-integral or out-of-range values; `what` names
 /// the offending parameter in the diagnostic.
 std::int64_t parseInt64(const std::string& text, const std::string& what);
 
@@ -21,8 +22,10 @@ double parseDouble(const std::string& text, const std::string& what);
 /// true/1/yes/on and false/0/no/off.
 bool parseBool(const std::string& text, const std::string& what);
 
-/// Split a comma-separated list, dropping empty tokens ("a,,b" -> {a, b}).
-/// The one parser behind every `process=a,b,c`-style CLI value.
-std::vector<std::string> splitCsv(const std::string& csv);
+/// Split a `sep`-separated list param ("a,b,c"). Throws on an empty list
+/// and on any empty entry ("a,,b", a trailing separator), so a stray
+/// separator never silently shortens the list.
+std::vector<std::string> splitList(const std::string& text, char sep,
+                                   const std::string& what);
 
 }  // namespace rlslb::util

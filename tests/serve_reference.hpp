@@ -14,14 +14,13 @@
 //
 // The decision phase is shared with production on purpose: decisions are
 // pure per-event functions of (snapshot, ordinal rng stream) computed by
-// OnlineAllocator::decide, so freezing a second copy of decide() would
+// serve::decideOver, so freezing a second copy of decide() would
 // only hide a regression in it from this differential.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -41,7 +40,7 @@ namespace rlslb::serve::reference {
 
 /// Frozen copy of the pre-partitioning OnlineAllocator (single global
 /// Fenwick + level histogram + ball map, sequential apply only). Reuses
-/// the production serve::Decision / serve::ServeCounters / decide() so the
+/// the production serve::Decision / serve::ServeCounters / decideOver() so the
 /// differential compares apply semantics, not decision streams.
 class ReferenceAllocator {
  public:
@@ -53,13 +52,12 @@ class ReferenceAllocator {
     RLSLB_ASSERT(options_.bins >= 1);
     RLSLB_ASSERT(options_.arrivalChoices >= 1);
     levels_[0] = options_.bins;
-    decider_ = std::make_unique<OnlineAllocator>(options);
   }
 
   [[nodiscard]] Decision decide(const workload::Event& event,
                                 const std::vector<std::int64_t>& snapshotLoads,
                                 rng::Xoshiro256pp& eng) const {
-    return decider_->decide(event, snapshotLoads, eng);
+    return decideOver(snapshotLoads, options_.arrivalChoices, event, eng);
   }
 
   void apply(const workload::Event& event, const Decision& decision) {
@@ -201,7 +199,6 @@ class ReferenceAllocator {
   }
 
   AllocatorOptions options_;
-  std::unique_ptr<OnlineAllocator> decider_;  // production decide(), frozen apply
   std::vector<std::int64_t> loads_;
   ds::Fenwick<std::int64_t> mass_;
   std::map<std::int64_t, std::int64_t> levels_;

@@ -1,6 +1,6 @@
-// capacity/: the CompactAllocator + CapacityLoop equivalence contract --
-// byte-identical loads, counters, and gap trajectories against the dense
-// OnlineAllocator + ShardedEventLoop across a (trace, seed) differential
+// capacity/: the CompactAllocator equivalence contract -- under the one
+// serve::EpochLoop, byte-identical loads, counters, and gap trajectories
+// against the dense OnlineAllocator across a (trace, seed) differential
 // matrix -- plus the compact layout's internal invariants, resident-byte
 // accounting, the budget-gate estimator, and serve_capacity's list-param
 // parsing.
@@ -9,13 +9,12 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "capacity/capacity_loop.hpp"
 #include "capacity/compact_allocator.hpp"
 #include "report/json.hpp"
-#include "runner/thread_pool.hpp"
 #include "scenario/scenario.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
@@ -72,17 +71,17 @@ void expectEqualOutcomes(const Outcome& compact, const Outcome& dense,
 
 Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
-  CompactOptions options;
+  serve::AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   CompactAllocator allocator(options);
-  CapacityLoopOptions loopOptions;
+  serve::LoopOptions loopOptions;
   loopOptions.epochEvents = kEpochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
-  CapacityLoop loop(allocator, loopOptions);
+  serve::EpochLoop loop(allocator, loopOptions);
   Outcome out;
-  const CapacityLoop::RunResult result = loop.run(trace, [&](const serve::EpochStats& s) {
+  const auto result = loop.run(trace, [&](const serve::EpochStats& s) {
     out.gapTrajectory.push_back(s.gap());
   });
   EXPECT_EQ(result.events, kEvents);
@@ -106,13 +105,11 @@ Outcome runDense(const std::string& spec, std::uint64_t seed) {
   loopOptions.epochEvents = kEpochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
-  runner::ThreadPool pool(1);
-  serve::ShardedEventLoop loop(allocator, loopOptions, pool);
+  serve::EpochLoop loop(allocator, loopOptions);
   Outcome out;
-  const serve::ShardedEventLoop::RunResult result =
-      loop.run(trace, [&](const serve::EpochStats& s) {
-        out.gapTrajectory.push_back(s.gap());
-      });
+  const auto result = loop.run(trace, [&](const serve::EpochStats& s) {
+    out.gapTrajectory.push_back(s.gap());
+  });
   EXPECT_EQ(result.events, kEvents);
   EXPECT_TRUE(allocator.validate());
   out.loads = allocator.loads();
@@ -125,7 +122,7 @@ Outcome runDense(const std::string& spec, std::uint64_t seed) {
 }
 
 // The equivalence contract: for every trace shape and seed, the compact
-// backend equals the dense one.
+// allocator equals the dense one.
 TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
   const std::vector<std::string> specs = {
       "poisson",
@@ -149,14 +146,14 @@ TEST(CompactAllocator, RepairStreamMatchesDense) {
   // upperBound -> in-bin slot -> candidate bin) is where the chunked lists
   // and the global Fenwick must reproduce the dense order exactly.
   workload::ComposedTrace compactTrace(traceOptions(), "poisson", 11);
-  CompactOptions copt;
+  serve::AllocatorOptions copt;
   copt.bins = kBins;
   CompactAllocator compact(copt);
-  CapacityLoopOptions clo;
+  serve::LoopOptions clo;
   clo.epochEvents = 64;
   clo.repairMovesPerEpoch = 32;
   clo.seed = 11;
-  CapacityLoop cloop(compact, clo);
+  serve::EpochLoop cloop(compact, clo);
   cloop.run(compactTrace);
 
   workload::ComposedTrace denseTrace(traceOptions(), "poisson", 11);
@@ -167,8 +164,7 @@ TEST(CompactAllocator, RepairStreamMatchesDense) {
   dlo.epochEvents = 64;
   dlo.repairMovesPerEpoch = 32;
   dlo.seed = 11;
-  runner::ThreadPool pool(1);
-  serve::ShardedEventLoop dloop(dense, dlo, pool);
+  serve::EpochLoop dloop(dense, dlo);
   dloop.run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
@@ -180,14 +176,14 @@ TEST(CompactAllocator, RepairStreamMatchesDense) {
 TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
   const std::uint64_t seed = 5;
   workload::ComposedTrace compactTrace(traceOptions(), "poisson", seed);
-  CompactOptions copt;
+  serve::AllocatorOptions copt;
   copt.bins = kBins;
   copt.invertAcceptance = true;
   CompactAllocator compact(copt);
-  CapacityLoopOptions clo;
+  serve::LoopOptions clo;
   clo.epochEvents = kEpochEvents;
   clo.seed = seed;
-  CapacityLoop cloop(compact, clo);
+  serve::EpochLoop cloop(compact, clo);
   cloop.run(compactTrace);
 
   workload::ComposedTrace denseTrace(traceOptions(), "poisson", seed);
@@ -198,8 +194,7 @@ TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
   serve::LoopOptions dlo;
   dlo.epochEvents = kEpochEvents;
   dlo.seed = seed;
-  runner::ThreadPool pool(1);
-  serve::ShardedEventLoop dloop(dense, dlo, pool);
+  serve::EpochLoop dloop(dense, dlo);
   dloop.run(denseTrace);
 
   EXPECT_EQ(compact.loadsCopy(), dense.loads());
@@ -209,7 +204,7 @@ TEST(CompactAllocator, InvertedAcceptanceStaysEquivalent) {
 TEST(CompactAllocator, ResidentBytesBeatDenseAndEstimateTracksActual) {
   const Outcome compact = runCompact("poisson", 2);
   const Outcome dense = runDense("poisson", 2);
-  // The whole point of the backend: materially fewer bytes for the same
+  // The whole point of the compact layout: materially fewer bytes for the same
   // observable state.
   EXPECT_LT(compact.residentBytes, dense.residentBytes);
   EXPECT_GT(compact.residentBytes, 0);
@@ -229,7 +224,7 @@ TEST(CompactAllocator, ResidentBytesBeatDenseAndEstimateTracksActual) {
 }
 
 TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
-  CompactOptions options;
+  serve::AllocatorOptions options;
   options.bins = 8;
   CompactAllocator allocator(options);
   EXPECT_TRUE(allocator.validate());
@@ -283,7 +278,7 @@ TEST(ServeCapacityParams, ScientificListEntryIsParsedExactly) {
   // A numeric-prefix parse would read "2e3" as 2; list entries go through
   // the same parser as scalar int params, which takes the shorthand exactly.
   const std::string jsonl =
-      runCapacityScenario({"n_list=2e3", "load_list=1", "epb=1", "backend=compact"});
+      runCapacityScenario({"n_list=2e3", "load_list=1", "epb=1"});
   std::vector<std::int64_t> cellBins;
   std::istringstream in(jsonl);
   std::string line;
@@ -296,11 +291,25 @@ TEST(ServeCapacityParams, ScientificListEntryIsParsedExactly) {
   EXPECT_EQ(cellBins, (std::vector<std::int64_t>{2000}));
 }
 
-TEST(ServeCapacityParamsDeathTest, TrailingJunkInAListEntryAborts) {
-  EXPECT_DEATH(runCapacityScenario({"n_list=64", "load_list=2x", "epb=1"}),
-               "parameter load_list=2x: not a number");
-  EXPECT_DEATH(runCapacityScenario({"n_list=64x", "load_list=1", "epb=1"}),
-               "parameter n_list=64x: not an integer");
+/// The diagnostic a malformed serve_capacity param throws ("" if none).
+std::string thrownBy(const std::vector<std::string>& params) {
+  try {
+    (void)runCapacityScenario(params);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServeCapacityParams, MalformedListEntryThrowsTheParameterDiagnostic) {
+  EXPECT_EQ(thrownBy({"n_list=64", "load_list=2x", "epb=1"}),
+            "parameter load_list=2x: not a number");
+  EXPECT_EQ(thrownBy({"n_list=64x", "load_list=1", "epb=1"}),
+            "parameter n_list=64x: not an integer");
+  EXPECT_EQ(thrownBy({"n_list=64,,128", "load_list=1", "epb=1"}),
+            "parameter n_list=64,,128: empty list entry");
+  EXPECT_EQ(thrownBy({"n_list=64", "load_list=1", "epb=1", "traces=poisson;"}),
+            "parameter traces=poisson;: empty list entry");
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "capacity/compact_allocator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/trace.hpp"
@@ -171,14 +172,13 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMetricsAttached) {
   serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
   ASSERT_EQ(allocator.gap(), 0);
 
-  runner::ThreadPool pool(1);
   MetricsRegistry metrics;
   serve::LoopOptions options;
   options.epochEvents = kEpochEvents;
   options.repairMovesPerEpoch = 4;
   options.seed = 11;
   options.metrics = &metrics;
-  serve::ShardedEventLoop loop(allocator, options, pool);
+  serve::EpochLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
@@ -216,7 +216,6 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   serve::OnlineAllocator allocator = makeBalancedAllocator(64, 256);
   ASSERT_EQ(allocator.gap(), 0);
 
-  runner::ThreadPool pool(1);
   MetricsRegistry metrics;
   MonitorSet monitors;
   ServeConformanceParams conformance;
@@ -233,7 +232,7 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   options.seed = 11;
   options.metrics = &metrics;
   options.monitors = &monitors;
-  serve::ShardedEventLoop loop(allocator, options, pool);
+  serve::EpochLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(256, kEpochEvents * kEpochs);
   std::vector<std::int64_t> perEpoch;
@@ -258,47 +257,6 @@ TEST(MetricsHotPath, SteadyStateEpochsAreAllocationFreeWithMonitorsAttached) {
   EXPECT_EQ(monitors.checks(), kEpochs);
   EXPECT_EQ(monitors.gapSketch().count(), kEpochs);
   EXPECT_EQ(monitors.log().total(), 0);
-}
-
-// Telemetry must be semantically invisible: the observed loop lands in the
-// byte-identical allocator state, and the exported counters agree with the
-// allocator's own ServeCounters.
-TEST(MetricsHotPath, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
-  const auto runOnce = [](MetricsRegistry* metrics) {
-    workload::OpenTraceOptions base;
-    base.bins = 32;
-    base.arrivalRatePerBin = 1.0;
-    base.departureRate = 0.25;
-    base.resampleRate = 1.0;
-    base.maxEvents = 4096;
-    workload::PoissonTrace trace(base, 17);
-    serve::OnlineAllocator allocator(
-        serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
-    runner::ThreadPool pool(1);
-    serve::LoopOptions options;
-    options.epochEvents = 512;
-    options.repairMovesPerEpoch = 4;
-    options.seed = 5;
-    options.metrics = metrics;
-    serve::ShardedEventLoop loop(allocator, options, pool);
-    loop.run(trace);
-    return std::make_pair(allocator.loads(), allocator.counters());
-  };
-
-  MetricsRegistry metrics;
-  const auto observed = runOnce(&metrics);
-  const auto plain = runOnce(nullptr);
-  EXPECT_EQ(observed.first, plain.first) << "metrics changed the run's outcome";
-
-  const serve::ServeCounters& c = observed.second;
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")), c.events);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.arrivals")), c.arrivals);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.departures")), c.departures);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.migrations")), c.migrations);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.rejected_moves")),
-            c.rejectedMoves);
-  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.repair_migrations")),
-            c.repairMigrations);
 }
 
 // ---------------------------------------------------------------- trace
@@ -391,10 +349,59 @@ TEST(Trace, JsonIsWellFormedWithContainedSpansAndWorkerTracks) {
   EXPECT_TRUE(sawJobSpan);
 }
 
+// ------------------------------------------------- serving loop, both allocators
+
+// Telemetry attaches to the one epoch loop, so its contracts are pinned
+// for both allocators the loop drives (Poisson traces are unit-weight, as
+// the compact allocator requires).
+template <class Allocator>
+class ServingLoopTelemetry : public ::testing::Test {};
+using LoopAllocators = ::testing::Types<serve::OnlineAllocator, capacity::CompactAllocator>;
+TYPED_TEST_SUITE(ServingLoopTelemetry, LoopAllocators);
+
+// Telemetry must be semantically invisible: the observed loop lands in the
+// byte-identical allocator state, and the exported counters agree with the
+// allocator's own ServeCounters.
+TYPED_TEST(ServingLoopTelemetry, AttachedMetricsDoNotPerturbTheRunAndAgreeWithCounters) {
+  const auto runOnce = [](MetricsRegistry* metrics) {
+    workload::OpenTraceOptions base;
+    base.bins = 32;
+    base.arrivalRatePerBin = 1.0;
+    base.departureRate = 0.25;
+    base.resampleRate = 1.0;
+    base.maxEvents = 4096;
+    workload::PoissonTrace trace(base, 17);
+    TypeParam allocator(serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
+    serve::LoopOptions options;
+    options.epochEvents = 512;
+    options.repairMovesPerEpoch = 4;
+    options.seed = 5;
+    options.metrics = metrics;
+    serve::EpochLoop loop(allocator, options);
+    loop.run(trace);
+    return std::make_pair(allocator.loads(), allocator.counters());
+  };
+
+  MetricsRegistry metrics;
+  const auto observed = runOnce(&metrics);
+  const auto plain = runOnce(nullptr);
+  EXPECT_EQ(observed.first, plain.first) << "metrics changed the run's outcome";
+
+  const serve::ServeCounters& c = observed.second;
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.events")), c.events);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.arrivals")), c.arrivals);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.departures")), c.departures);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.migrations")), c.migrations);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.rejected_moves")),
+            c.rejectedMoves);
+  EXPECT_EQ(metrics.counterValue(metrics.counter("serve.repair_migrations")),
+            c.repairMigrations);
+}
+
 // Runtime-off contract: a loop with tracing compiled in but no writer
 // attached emits nothing (the writer stays empty), while the attached
 // writer captures the per-phase spans the acceptance criteria name.
-TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
+TYPED_TEST(ServingLoopTelemetry, EmitsPhaseSpansOnlyWhenAttached) {
   if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   const auto runOnce = [](TraceWriter* trace) {
     workload::OpenTraceOptions base;
@@ -404,14 +411,12 @@ TEST(Trace, ServingLoopEmitsPhaseSpansOnlyWhenAttached) {
     base.resampleRate = 1.0;
     base.maxEvents = 2048;
     workload::PoissonTrace traceGen(base, 23);
-    serve::OnlineAllocator allocator(
-        serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
-    runner::ThreadPool pool(1);
+    TypeParam allocator(serve::AllocatorOptions{.bins = 32, .arrivalChoices = 2});
     serve::LoopOptions options;
     options.epochEvents = 512;
     options.seed = 5;
     options.trace = trace;
-    serve::ShardedEventLoop loop(allocator, options, pool);
+    serve::EpochLoop loop(allocator, options);
     loop.run(traceGen);
     return allocator.loads();
   };

@@ -24,7 +24,6 @@
 #include "obs/probe.hpp"
 #include "process/registry.hpp"
 #include "config/generators.hpp"
-#include "runner/thread_pool.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
@@ -253,7 +252,6 @@ ServeRun runServeWithMonitors(bool invert) {
   allocOptions.invertAcceptance = invert;
   serve::OnlineAllocator allocator(allocOptions);
 
-  runner::ThreadPool pool(1);
   MonitorSet monitors;
   monitors.add(std::make_unique<LoadConservationMonitor>());
   GapEnvelope envelope;
@@ -268,7 +266,7 @@ ServeRun runServeWithMonitors(bool invert) {
   options.repairMovesPerEpoch = 4;
   options.seed = 13;
   options.monitors = &monitors;
-  serve::ShardedEventLoop loop(allocator, options, pool);
+  serve::EpochLoop loop(allocator, options);
   (void)loop.run(trace);
   monitors.finish();
 

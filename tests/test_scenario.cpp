@@ -3,9 +3,12 @@
 // across repeated runs and thread counts).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/generators.hpp"
@@ -98,6 +101,38 @@ TEST(ScenarioRegistry, RunOneUnknownNameThrowsWithRoster) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown scenario 'unknown'"), std::string::npos);
     EXPECT_NE(what.find("known"), std::string::npos);  // lists the roster
+  }
+}
+
+TEST(ScenarioRegistry, CheckParamsRejectsKeysNoNamedScenarioDeclares) {
+  ScenarioRegistry r;
+  registerBuiltinScenarios(r);
+  EXPECT_NO_THROW(r.checkParams({"serve_capacity"}, paramsOf({"n_list=64", "epb=1"})));
+  // The union of the named scenarios' declared params is accepted.
+  EXPECT_NO_THROW(r.checkParams({"serve_capacity", "serve_poisson"},
+                                paramsOf({"n_list=64", "events=100"})));
+  try {
+    r.checkParams({"serve_capacity"}, paramsOf({"backend=dense", "epb=1"}));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown parameter backend (not declared by serve_capacity)");
+  }
+  EXPECT_THROW(r.checkParams({"no_such_scenario"}, paramsOf({})), std::out_of_range);
+}
+
+// An undeclared key=value param exits 2 before the scenario runs: no
+// event is served and the --out sink is never opened.
+TEST(Harness, UndeclaredParamExitsBeforeTheRunWritesNothing) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"serve_capacity", "backend=dense"}, {"serve_poisson", "partitioned=0"}};
+  for (const auto& [name, knob] : cases) {
+    const std::string outPath = ::testing::TempDir() + "undeclared_" + name + ".jsonl";
+    std::remove(outPath.c_str());
+    std::vector<std::string> args = {"bench_" + name, "--out=" + outPath, knob};
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    EXPECT_EQ(runStandalone(static_cast<int>(argv.size()), argv.data(), name), 2) << knob;
+    EXPECT_FALSE(std::ifstream(outPath).good()) << knob << ": the sink was opened";
   }
 }
 

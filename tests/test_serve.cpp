@@ -45,8 +45,7 @@ LoopOutcome runLoop(std::int64_t events, std::uint64_t seed = 99) {
   loopOptions.epochEvents = 256;
   loopOptions.repairMovesPerEpoch = 4;
   loopOptions.seed = seed;
-  runner::ThreadPool pool(1);
-  ShardedEventLoop loop(allocator, loopOptions, pool);
+  EpochLoop loop(allocator, loopOptions);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, events);
   EXPECT_TRUE(allocator.validate());
@@ -72,11 +71,10 @@ TEST(OnlineAllocator, ConservesMassAndTracksLevels) {
             out.counters.migrations + out.counters.rejectedMoves);
 }
 
-TEST(ShardedEventLoop, EpochObserverSeesEveryEvent) {
+TEST(EpochLoop, EpochObserverSeesEveryEvent) {
   workload::PoissonTrace trace(traceOptions(1000), 7);
   OnlineAllocator allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 1});
-  runner::ThreadPool pool(1);
-  ShardedEventLoop loop(allocator, LoopOptions{.epochEvents = 128}, pool);
+  EpochLoop loop(allocator, LoopOptions{.epochEvents = 128});
   std::int64_t observed = 0;
   std::int64_t epochs = 0;
   std::int64_t lastEpoch = -1;
@@ -92,7 +90,7 @@ TEST(ShardedEventLoop, EpochObserverSeesEveryEvent) {
   EXPECT_EQ(result.epochs, (1000 + 127) / 128);
 }
 
-TEST(ShardedEventLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
+TEST(EpochLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
   // Same arrivals/departures rates; with the RLS clocks off the gap is the
   // raw d-choice band, with them on the allocator must hold a tighter one.
   const auto gapWith = [](double resampleRate, std::uint64_t seed) {
@@ -102,11 +100,10 @@ TEST(ShardedEventLoop, RlsMigrationShrinksTheGapVersusPlacementOnly) {
     o.resampleRate = resampleRate;
     workload::PoissonTrace trace(o, seed);
     OnlineAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 1});
-    runner::ThreadPool pool(1);
     LoopOptions loopOptions;
     loopOptions.repairMovesPerEpoch = 0;  // isolate the per-event rule
     loopOptions.seed = seed;
-    ShardedEventLoop loop(allocator, loopOptions, pool);
+    EpochLoop loop(allocator, loopOptions);
     double gapSum = 0.0;
     std::int64_t samples = 0;
     loop.run(trace, [&](const EpochStats& s) {

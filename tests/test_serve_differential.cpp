@@ -3,7 +3,8 @@
 // per-epoch gap trajectory -- to the frozen reference loop
 // (tests/serve_reference.hpp) across epoch granularities, trace kinds,
 // and seeds. Plus LoopOptions validation death tests and the
-// EpochStats/RunResult timing contract.
+// EpochStats/RunResult timing contract, pinned for both allocators the
+// loop drives.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "runner/thread_pool.hpp"
+#include "capacity/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "serve_reference.hpp"
@@ -102,12 +104,11 @@ Outcome runReference(const Config& c) {
 Outcome runFused(const Config& c) {
   auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
   OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
-  runner::ThreadPool pool(1);
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.repairMovesPerEpoch = 4;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options, pool);
+  EpochLoop loop(allocator, options);
   Outcome out;
   const auto result = loop.run(*trace, [&](const EpochStats& s) {
     out.gapTrajectory.push_back(s.gap());
@@ -197,12 +198,11 @@ TEST(FusedDifferential, AllTraceKinds) {
 
 TEST(ServeLoopDeathTest, RejectsInvalidLoopOptions) {
   OnlineAllocator allocator(AllocatorOptions{.bins = 8, .arrivalChoices = 1});
-  runner::ThreadPool pool(1);
   const auto makeLoop = [&](std::int64_t epochEvents, int repair) {
     LoopOptions o;
     o.epochEvents = epochEvents;
     o.repairMovesPerEpoch = repair;
-    ShardedEventLoop loop(allocator, o, pool);
+    EpochLoop loop(allocator, o);
   };
   EXPECT_DEATH(makeLoop(0, 4), "LoopOptions.epochEvents must be >= 1");
   EXPECT_DEATH(makeLoop(-1, 4), "LoopOptions.epochEvents must be >= 1");
@@ -211,17 +211,23 @@ TEST(ServeLoopDeathTest, RejectsInvalidLoopOptions) {
 
 // ------------------------------------------------ timing contract
 
-TEST(TimingContract, RunResultIsTheExactSumOfEpochWallSeconds) {
+// The contract belongs to the one epoch loop, so it is pinned for both of
+// its allocators (the Poisson trace is unit-weight, as compact requires).
+template <class Allocator>
+class TimingContract : public ::testing::Test {};
+using LoopAllocators = ::testing::Types<OnlineAllocator, capacity::CompactAllocator>;
+TYPED_TEST_SUITE(TimingContract, LoopAllocators);
+
+TYPED_TEST(TimingContract, RunResultIsTheExactSumOfEpochWallSeconds) {
   Config c;
   c.events = 2048;
   c.epochEvents = 128;
   auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
-  runner::ThreadPool pool(1);
+  TypeParam allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options, pool);
+  EpochLoop loop(allocator, options);
   double sum = 0.0;
   std::int64_t epochs = 0;
   const auto result = loop.run(*trace, [&](const EpochStats& s) {
@@ -235,17 +241,16 @@ TEST(TimingContract, RunResultIsTheExactSumOfEpochWallSeconds) {
   EXPECT_EQ(sum, result.wallSeconds);
 }
 
-TEST(TimingContract, OnEpochCallbackTimeIsExcluded) {
+TYPED_TEST(TimingContract, OnEpochCallbackTimeIsExcluded) {
   Config c;
   c.events = 256;
   c.epochEvents = 64;
   auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
-  runner::ThreadPool pool(1);
+  TypeParam allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options, pool);
+  EpochLoop loop(allocator, options);
   const auto result = loop.run(*trace, [&](const EpochStats&) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   });
@@ -273,18 +278,17 @@ class SlowTrace final : public workload::TraceGenerator {
   std::chrono::microseconds delay_;
 };
 
-TEST(TimingContract, TraceGenerationTimeIsExcluded) {
+TYPED_TEST(TimingContract, TraceGenerationTimeIsExcluded) {
   Config c;
   c.events = 64;
   c.epochEvents = 16;
   auto inner = makeTrace(c.kind, c.bins, c.events, c.seed);
   SlowTrace trace(*inner, std::chrono::microseconds(500));
-  OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
-  runner::ThreadPool pool(1);
+  TypeParam allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
   LoopOptions options;
   options.epochEvents = c.epochEvents;
   options.seed = c.seed;
-  ShardedEventLoop loop(allocator, options, pool);
+  EpochLoop loop(allocator, options);
   const auto result = loop.run(trace);
   EXPECT_EQ(result.events, 64);
   // 64 x 0.5ms = 32ms of generation sleep; the 4 epochs of real work are
@@ -332,11 +336,10 @@ TEST(FusedDifferential, HighContentionLongEpochs) {
   {
     workload::PoissonTrace trace(base, c.seed);
     OnlineAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
-    runner::ThreadPool pool(1);
     LoopOptions options;
     options.epochEvents = c.epochEvents;
     options.seed = c.seed;
-    ShardedEventLoop loop(allocator, options, pool);
+    EpochLoop loop(allocator, options);
     Outcome got;
     loop.run(trace, [&](const EpochStats& s) { got.gapTrajectory.push_back(s.gap()); });
     EXPECT_TRUE(allocator.validate());

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "runner/thread_pool.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
@@ -143,11 +142,10 @@ LoopOptions hotpathOptions() {
 TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
   const AllocatorOptions allocOpts{.bins = 24, .arrivalChoices = 2};
   const LoopOptions options = hotpathOptions();
-  runner::ThreadPool pool(1);
 
   // Universe A: one loop reused across both traces.
   OnlineAllocator reusedAlloc(allocOpts);
-  ShardedEventLoop reusedLoop(reusedAlloc, options, pool);
+  EpochLoop reusedLoop(reusedAlloc, options);
   auto traceA1 = makePoisson(24, 2048, 3);
   reusedLoop.run(*traceA1);
   OffsetBalls traceA2(makePoisson(24, 1536, 7), 1'000'000);
@@ -156,11 +154,11 @@ TEST(MultiRunContract, ReusedLoopMatchesFreshLoopOnTheSecondTrace) {
   // Universe B: same allocator lifetime, but a fresh loop per trace.
   OnlineAllocator freshAlloc(allocOpts);
   {
-    ShardedEventLoop first(freshAlloc, options, pool);
+    EpochLoop first(freshAlloc, options);
     auto traceB1 = makePoisson(24, 2048, 3);
     first.run(*traceB1);
   }
-  ShardedEventLoop second(freshAlloc, options, pool);
+  EpochLoop second(freshAlloc, options);
   OffsetBalls traceB2(makePoisson(24, 1536, 7), 1'000'000);
   const auto freshResult = second.run(traceB2);
 
@@ -197,10 +195,9 @@ TEST(SteadyStateAllocations, FusedPathIsAllocationFree) {
   }
   ASSERT_EQ(allocator.gap(), 0);
 
-  runner::ThreadPool pool(1);
   LoopOptions options = hotpathOptions();
   options.epochEvents = kEpochEvents;
-  ShardedEventLoop loop(allocator, options, pool);
+  EpochLoop loop(allocator, options);
 
   ResampleOnlyTrace trace(kBalls, kEpochEvents * kResampleEpochs);
 
@@ -247,7 +244,7 @@ TEST(DeferredAccounting, AccessorsReconcileWithoutAnExplicitFlush) {
     e.kind = workload::EventKind::kArrive;
     e.ball = ball;
     e.weight = 1 + (ball % 3);
-    allocator.apply(e, allocator.decide(e, live, eng));
+    allocator.apply(e, allocator.decide(e, eng));
   }
   std::int64_t lo = live[0];
   std::int64_t hi = live[0];
@@ -257,8 +254,8 @@ TEST(DeferredAccounting, AccessorsReconcileWithoutAnExplicitFlush) {
     hi = std::max(hi, v);
     total += v;
   }
-  EXPECT_EQ(allocator.minLoad(), lo);
-  EXPECT_EQ(allocator.maxLoad(), hi);
+  EXPECT_EQ(allocator.balanceState().minLoad, lo);
+  EXPECT_EQ(allocator.balanceState().maxLoad, hi);
   EXPECT_EQ(allocator.gap(), hi - lo);
   EXPECT_EQ(allocator.totalLoad(), total);
   EXPECT_TRUE(allocator.validate());

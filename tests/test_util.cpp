@@ -1,13 +1,17 @@
-// Unit tests for src/util: formatting, tables, CLI parsing.
+// Unit tests for src/util: formatting, tables, CLI and param parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/format.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -194,6 +198,51 @@ TEST(UtilDeathTest, CliRejectsPositionalArguments) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const char* argv[] = {"prog", "positional"};
   EXPECT_DEATH(CliArgs(2, argv), "--key");
+}
+
+// ------------------------------------------------------- param parsing
+
+/// The std::invalid_argument message `parse` throws ("" if it returns).
+template <class Parse>
+std::string thrownBy(Parse parse) {
+  try {
+    (void)parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SplitList, SplitsOnTheGivenSeparator) {
+  EXPECT_EQ(util::splitList("a,b,c", ',', "k"), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(util::splitList("x(1,2);y", ';', "k"),
+            (std::vector<std::string>{"x(1,2)", "y"}));
+  EXPECT_EQ(util::splitList("solo", ',', "k"), (std::vector<std::string>{"solo"}));
+}
+
+TEST(SplitList, RejectsEmptyEntriesAndEmptyLists) {
+  EXPECT_EQ(thrownBy([] { return util::splitList("a,,b", ',', "process"); }),
+            "parameter process=a,,b: empty list entry");
+  EXPECT_EQ(thrownBy([] { return util::splitList("a,b,", ',', "process"); }),
+            "parameter process=a,b,: empty list entry");
+  EXPECT_EQ(thrownBy([] { return util::splitList(",a", ',', "process"); }),
+            "parameter process=,a: empty list entry");
+  EXPECT_EQ(thrownBy([] { return util::splitList("", ',', "process"); }),
+            "parameter process=: empty list");
+}
+
+TEST(ParseParam, MalformedValuesThrowTheParameterDiagnostic) {
+  EXPECT_EQ(thrownBy([] { return util::parseInt64("12x", "n"); }),
+            "parameter n=12x: not an integer");
+  EXPECT_EQ(thrownBy([] { return util::parseInt64("2.5", "n"); }),
+            "parameter n=2.5: not an exact integer");
+  EXPECT_EQ(thrownBy([] { return util::parseDouble("", "lambda"); }),
+            "parameter lambda=: not a number");
+  EXPECT_EQ(thrownBy([] { return util::parseBool("maybe", "probe"); }),
+            "parameter probe=maybe: not a boolean (true/1/yes/on or false/0/no/off)");
+  EXPECT_EQ(util::parseInt64("1e6", "n"), 1000000);
+  EXPECT_EQ(util::parseDouble("0.25", "mu"), 0.25);
+  EXPECT_TRUE(util::parseBool("on", "probe"));
 }
 
 }  // namespace
