@@ -273,11 +273,12 @@ int main(int argc, char** argv) {
     for (const scenario::Scenario* s : registry.list()) toRun.push_back(s->name);
   }
   // Unknown scenario names, key=value params no scenario about to run
-  // declares, and malformed watch params exit 2 before anything runs or
-  // is written.
+  // declares, values a scenario's check rejects, and malformed watch
+  // params exit 2 before anything runs or is written.
   std::unique_ptr<obs::WatchRenderer> watcher;
   try {
     registry.checkParams(toRun, ctx.params);
+    registry.checkValues(toRun, ctx);
     // watch = run with the conformance roster defaulted on and a live
     // renderer observing the monitor set (the observer survives the
     // per-scenario MonitorSet::clear()).

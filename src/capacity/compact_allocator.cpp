@@ -11,6 +11,7 @@ CompactAllocator::CompactAllocator(const serve::AllocatorOptions& options)
       loads_(static_cast<std::size_t>(options.bins), 0),
       flushedLoad_(static_cast<std::size_t>(options.bins), 0),
       mass_(static_cast<std::size_t>(options.bins)),
+      tracker_(options.bins),
       dirtyMark_(static_cast<std::size_t>(options.bins), 0),
       binHead_(static_cast<std::size_t>(options.bins), -1),
       binTail_(static_cast<std::size_t>(options.bins), -1) {
@@ -222,6 +223,7 @@ void CompactAllocator::flush() {
     if (after == before) continue;  // net-zero over the batch
     flushedLoad_[g] = after;
     mass_.add(g, after - before);
+    tracker_.onLoadChange(before, after);
     ++flushedBins_;
   }
   dirty_.clear();
@@ -254,7 +256,10 @@ bool CompactAllocator::repairMove(rng::Xoshiro256pp& eng) {
 }
 
 sim::BalanceState CompactAllocator::balanceState() const {
-  return serve::scanBalance(loads_, totalLoad_);
+  // Settle deltas a raw applyBatch() left pending; a no-op under the
+  // event loop, which flushes every epoch.
+  if (!dirty_.empty()) const_cast<CompactAllocator*>(this)->flush();
+  return tracker_.state();
 }
 
 std::int64_t CompactAllocator::residentBytes() const {
@@ -264,7 +269,8 @@ std::int64_t CompactAllocator::residentBytes() const {
   return vecBytes(loads_) + vecBytes(flushedLoad_) + vecBytes(dirty_) +
          vecBytes(dirtyMark_) + vecBytes(binHead_) + vecBytes(binTail_) +
          vecBytes(ballBin_) + vecBytes(ballSlot_) + vecBytes(arena_) +
-         static_cast<std::int64_t>((mass_.size() + 1) * sizeof(std::int64_t));
+         static_cast<std::int64_t>((mass_.size() + 1) * sizeof(std::int64_t)) +
+         tracker_.heapBytes();
 }
 
 std::int64_t CompactAllocator::estimateBytes(std::int64_t bins, std::int64_t ballsEver,

@@ -21,15 +21,20 @@
 // would cost 2.4 GB at n = 1e8). Net: ~12-16 bytes per live ball plus
 // ~20 bytes per bin, versus ~60-100 bytes per ball dense.
 //
+// Balance view: the dirty-bin flush feeds each net change to a
+// sim::BalanceTracker (per-level bin counts), exactly as the dense
+// allocator does, so balanceState() is an O(1) read after an epoch and
+// per-epoch observation never scans the n loads.
+//
 // Equivalence contract (pinned by tests/test_capacity.cpp): driven by
 // serve::EpochLoop over the same trace and seed, this allocator produces
 // byte-identical observable output — loads, gap trajectory, every
 // ServeCounters field, the repair stream — to OnlineAllocator. Both share
-// the decision rule (serve::decideOver) and the balance scan
-// (serve::scanBalance); every other rng draw sequence (the repair
-// ticket/pick/candidate triple) and every ordering decision (per-bin
-// append / swap-remove slots) is replicated exactly, and both pick the
-// repair bin with the same global Fenwick upperBound.
+// the decision rule (serve::decideOver) and the flush-fed balance
+// tracker; every other rng draw sequence (the repair ticket/pick/candidate
+// triple) and every ordering decision (per-bin append / swap-remove slots)
+// is replicated exactly, and both pick the repair bin with the same global
+// Fenwick upperBound.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,7 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "serve/online_allocator.hpp"
+#include "sim/balance_tracker.hpp"
 #include "workload/event.hpp"
 
 namespace rlslb::capacity {
@@ -62,8 +68,8 @@ class CompactAllocator {
   void applyBatch(const workload::Event* events, const serve::Decision* decisions,
                   std::size_t count);
 
-  /// Settle deferred Fenwick deltas (O(dirty bins); net-zero bins skipped,
-  /// exactly the dense deferred-accounting rule).
+  /// Settle deferred Fenwick and balance-tracker deltas (O(dirty bins);
+  /// net-zero bins skipped, exactly the dense deferred-accounting rule).
   void flush();
 
   /// One RLS repair activation: the exact dense draw sequence (load ticket
@@ -83,8 +89,9 @@ class CompactAllocator {
   [[nodiscard]] std::vector<std::int64_t> loadsCopy() const {
     return {loads_.begin(), loads_.end()};
   }
-  /// Same closed-system view (and the same out-of-line scan) the dense
-  /// balanceState() exposes.
+  /// Same closed-system view the dense balanceState() exposes: the
+  /// tracker's state, O(1) once flushed; pending deltas from a raw
+  /// applyBatch() are settled first (O(dirty bins)).
   [[nodiscard]] sim::BalanceState balanceState() const;
   [[nodiscard]] std::int64_t gap() const {
     const sim::BalanceState s = balanceState();
@@ -92,8 +99,9 @@ class CompactAllocator {
   }
   [[nodiscard]] std::int64_t flushedBins() const { return flushedBins_; }
 
-  /// Heap bytes of every structure, O(1) from capacities — the number the
-  /// frontier records report as state_bytes.
+  /// Heap bytes of every structure (the tracker's level array included),
+  /// O(1) from capacities — the number the frontier records report as
+  /// state_bytes.
   [[nodiscard]] std::int64_t residentBytes() const;
 
   /// Predicted residentBytes for a run shape, used by the serve_capacity
@@ -136,6 +144,7 @@ class CompactAllocator {
   std::vector<std::int32_t> loads_;        // live per-bin ball counts
   std::vector<std::int32_t> flushedLoad_;  // Fenwick view, lags by dirty_
   ds::Fenwick<std::int64_t> mass_;         // repair bin sampling
+  sim::BalanceTracker tracker_;            // level counts of flushedLoad_
   std::vector<std::int32_t> dirty_;
   std::vector<std::uint8_t> dirtyMark_;
   std::vector<std::int32_t> binHead_;  // first chunk per bin, -1 = empty

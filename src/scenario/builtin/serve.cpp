@@ -22,7 +22,7 @@
 // listed at each builder.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -32,9 +32,10 @@
 #include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
 #include "scenario/builtin/builtin.hpp"
-#include "util/assert.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
+#include "util/assert.hpp"
+#include "util/parse.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
@@ -42,6 +43,9 @@
 namespace rlslb::scenario::builtin {
 
 namespace {
+
+constexpr const char* kDefaultComposedSpec =
+    "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,32,8)";
 
 workload::OpenTraceOptions baseTraceOptions(ScenarioContext& ctx, std::int64_t bins,
                                             std::int64_t events) {
@@ -79,13 +83,11 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
     return std::make_unique<workload::DiurnalTrace>(o, seed);
   }
   if (kind == "composed") {
-    const std::string spec = ctx.params.getString(
-        "spec", "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,32,8)");
     workload::ComposeSpec parsed;
     std::string error;
-    const bool ok = workload::parseComposeSpec(spec, &parsed, &error);
-    if (!ok) std::fprintf(stderr, "serve_composed: bad spec= (%s)\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "spec= does not parse; see rlslb traces for the algebra");
+    const bool ok = workload::parseComposeSpec(
+        ctx.params.getString("spec", kDefaultComposedSpec), &parsed, &error);
+    RLSLB_ASSERT_MSG(ok, "spec= does not parse (checkServe admits only specs that do)");
     return std::make_unique<workload::ComposedTrace>(base, std::move(parsed), seed);
   }
   RLSLB_ASSERT(kind == "adversarial");
@@ -97,7 +99,63 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
   return std::make_unique<workload::HotspotTrace>(o, seed);
 }
 
+/// Range checks of the serve_* params: every value the trace generator,
+/// the allocator or the loop would otherwise abort on is rejected with the
+/// "parameter k=v: why" diagnostic. The drivers run it before anything is
+/// written; runServe runs it again before it builds anything.
+void checkServe(const ScenarioContext& ctx, const std::string& kind) {
+  const ScenarioParams& p = ctx.params;
+  const auto positive = [&](const char* name, double dflt) {
+    const double v = p.getDouble(name, dflt);
+    if (!(v > 0.0) || !std::isfinite(v)) {
+      util::rejectParam(name, p.getString(name, ""), "must be a finite number > 0");
+    }
+  };
+  (void)p.getIntIn("n", ctx.sized(256), 1, INT32_MAX);
+  (void)p.getIntIn("events", ctx.sized(6'000'000), 0);
+  (void)p.getIntIn("d", 2, 1, INT32_MAX);
+  (void)p.getIntIn("epoch", 1024, 1);
+  (void)p.getIntIn("repair", 4, 0, INT32_MAX);
+  (void)p.getDoubleIn("lambda", 1.0, 0.0);
+  (void)p.getDoubleIn("mu", 0.125, 0.0);
+  (void)p.getDoubleIn("resample", 1.0, 0.0);
+  (void)p.getIntIn("weight", 1, 1);
+  if (p.has("trace")) {
+    const std::string replayPath = p.getString("trace", "");
+    if (p.has("record")) {
+      util::rejectParam("record", p.getString("record", ""),
+                        "cannot be combined with trace= (a replayed trace is already on disk)");
+    }
+    if (!std::ifstream(replayPath, std::ios::binary).is_open()) {
+      util::rejectParam("trace", replayPath, "cannot open the replay file");
+    }
+  }
+  if (kind == "bursty") {
+    (void)p.getDoubleIn("burst_factor", 8.0, 1.0);
+    positive("calm_to_burst", 0.05);
+    positive("burst_to_calm", 0.5);
+  } else if (kind == "diurnal") {
+    const double amplitude = p.getDouble("amplitude", 0.8);
+    if (!(amplitude >= 0.0 && amplitude < 1.0)) {
+      util::rejectParam("amplitude", p.getString("amplitude", ""), "must be in [0, 1)");
+    }
+    positive("period", 64.0);
+  } else if (kind == "adversarial") {
+    positive("burst_period", 16.0);
+    (void)p.getIntIn("burst_size", 32, 1);
+    (void)p.getIntIn("hot_weight", 8, 1);
+  } else if (kind == "composed") {
+    const std::string spec = p.getString("spec", kDefaultComposedSpec);
+    workload::ComposeSpec parsed;
+    std::string error;
+    if (!workload::parseComposeSpec(spec, &parsed, &error)) {
+      util::rejectParam("spec", spec, error + "; see `rlslb traces`");
+    }
+  }
+}
+
 void runServe(ScenarioContext& ctx, const std::string& kind) {
+  checkServe(ctx, kind);
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(256));
   std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
   serve::AllocatorOptions allocOptions;
@@ -135,9 +193,6 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   std::ifstream replayIn;
   std::ofstream recordOut;
   std::unique_ptr<workload::TraceGenerator> source;
-  RLSLB_ASSERT_MSG(replayPath.empty() || recordPath.empty(),
-                   "trace= (replay) and record= (tee the generated trace) are mutually "
-                   "exclusive; a replayed trace is already on disk");
   if (!replayPath.empty()) {
     // The epoch/checkpoint/warmup math below needs the true trace length,
     // which for a replay is the file, not the `events` param. The format
@@ -320,7 +375,8 @@ void registerServe(ScenarioRegistry& r) {
     r.add({"serve_" + kind,
            "online serving: " + what + " trace through the incremental RLS allocator",
            "open-system serving (Ganesh et al. [11]; Section 7 outlook)",
-           [kind](ScenarioContext& ctx) { runServe(ctx, kind); }, std::move(params)});
+           [kind](ScenarioContext& ctx) { runServe(ctx, kind); }, std::move(params),
+           [kind](const ScenarioContext& ctx) { checkServe(ctx, kind); }});
   };
   add("poisson", "constant-rate Poisson arrivals/departures", {});
   add("bursty", "2-state MMPP calm/burst",
@@ -335,7 +391,7 @@ void registerServe(ScenarioRegistry& r) {
        {"burst_size", "int", "32", "balls per burst"},
        {"hot_weight", "int", "8", "weight of each burst ball"}});
   add("composed", "composable trace algebra (sum/modulate/overlay of factors)",
-      {{"spec", "string", "diurnal(0.8,64)*bursty(8,0.05,0.5)+hotspot(16,32,8)",
+      {{"spec", "string", kDefaultComposedSpec,
         "trace algebra spec; factors/combinators listed by `rlslb traces`"}});
 }
 

@@ -25,7 +25,8 @@
 // budget_mb, conformance. Compact state requires unit weights: hotspot
 // factors must use weight 1.
 #include <algorithm>
-#include <cstdio>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +38,6 @@
 #include "scenario/builtin/builtin.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
-#include "util/assert.hpp"
 #include "util/parse.hpp"
 #include "workload/compose.hpp"
 #include "workload/generators.hpp"
@@ -60,67 +60,103 @@ struct CellResult {
   std::int64_t liveBalls = 0;
 };
 
-void runCapacity(ScenarioContext& ctx) {
-  const std::vector<std::string> nTokens =
-      util::splitList(ctx.params.getString("n_list", "1000000"), ',', "n_list");
-  const std::vector<std::string> loadTokens =
-      util::splitList(ctx.params.getString("load_list", "8"), ',', "load_list");
-  const std::vector<std::string> traceSpecs =
-      util::splitList(ctx.params.getString("traces", "poisson"), ';', "traces");
-  const std::int64_t epb = ctx.params.getInt("epb", ctx.sized(4));
-  const std::int64_t epochEvents = ctx.params.getInt("epoch", 1024);
-  const int repair = static_cast<int>(ctx.params.getInt("repair", 4));
-  const int d = static_cast<int>(ctx.params.getInt("d", 2));
-  const double resample = ctx.params.getDouble("resample", 1.0);
-  const std::int64_t budgetMb = ctx.params.getInt("budget_mb", 2048);
-  const bool conformance = ctx.params.getBool("conformance", ctx.conformanceDefault);
-  RLSLB_ASSERT_MSG(epb >= 1 && epochEvents >= 1, "epb and epoch must be >= 1");
-
+/// Every serve_capacity param, parsed and range-checked. Throws the
+/// "parameter k=v: why" diagnostic on the first bad value, so the drivers'
+/// pre-run check and the body reject the same inputs.
+struct CapacityConfig {
   std::vector<std::int64_t> nList;
-  for (const std::string& t : nTokens) {
-    const std::int64_t n = util::parseInt64(t, "n_list");
-    RLSLB_ASSERT_MSG(n >= 1, "n_list entries must be >= 1");
-    nList.push_back(n);
-  }
   std::vector<double> loadList;
-  for (const std::string& t : loadTokens) {
-    const double load = util::parseDouble(t, "load_list");
-    RLSLB_ASSERT_MSG(load > 0.0, "load_list entries must be > 0");
-    loadList.push_back(load);
-  }
   std::vector<workload::ComposeSpec> specs;
-  for (const std::string& t : traceSpecs) {
+  std::int64_t epb = 0;
+  std::int64_t epochEvents = 0;
+  int repair = 0;
+  int d = 0;
+  double resample = 0.0;
+  std::int64_t budgetMb = 0;
+  bool conformance = false;
+};
+
+CapacityConfig readConfig(const ScenarioContext& ctx) {
+  const ScenarioParams& params = ctx.params;
+  CapacityConfig c;
+  const std::string nText = params.getString("n_list", "1000000");
+  for (const std::string& t : util::splitList(nText, ',', "n_list")) {
+    const std::int64_t n = util::parseInt64(t, "n_list");
+    if (n < 1 || n > INT32_MAX) {
+      util::rejectParam("n_list", nText, "entries must be in [1, 2147483647]");
+    }
+    c.nList.push_back(n);
+  }
+  const std::string loadText = params.getString("load_list", "8");
+  for (const std::string& t : util::splitList(loadText, ',', "load_list")) {
+    const double load = util::parseDouble(t, "load_list");
+    if (!(load > 0.0) || !std::isfinite(load)) {
+      util::rejectParam("load_list", loadText, "entries must be finite numbers > 0");
+    }
+    c.loadList.push_back(load);
+  }
+  const std::string traceText = params.getString("traces", "poisson");
+  for (const std::string& t : util::splitList(traceText, ';', "traces")) {
     workload::ComposeSpec spec;
     std::string error;
-    const bool ok = workload::parseComposeSpec(t, &spec, &error);
-    if (!ok) std::fprintf(stderr, "serve_capacity: bad traces= entry (%s)\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "traces= entry does not parse; see `rlslb traces`");
+    if (!workload::parseComposeSpec(t, &spec, &error)) {
+      util::rejectParam("traces", traceText, error + "; see `rlslb traces`");
+    }
     for (const std::vector<workload::ComposeFactor>& term : spec.terms) {
       for (const workload::ComposeFactor& f : term) {
-        RLSLB_ASSERT_MSG(f.kind != workload::ComposeFactor::Kind::kHotspot || f.c == 1.0,
-                         "capacity sweeps run unit weights; use hotspot(period,size,1)");
+        if (f.kind == workload::ComposeFactor::Kind::kHotspot && f.c != 1.0) {
+          util::rejectParam("traces", traceText,
+                            "capacity sweeps run unit weights; use hotspot(period,size,1)");
+        }
       }
     }
-    specs.push_back(std::move(spec));
+    c.specs.push_back(std::move(spec));
   }
+  c.epb = params.getIntIn("epb", ctx.sized(4), 1);
+  c.epochEvents = params.getIntIn("epoch", 1024, 1);
+  c.repair = static_cast<int>(params.getIntIn("repair", 4, 0, INT32_MAX));
+  c.d = static_cast<int>(params.getIntIn("d", 2, 1, INT32_MAX));
+  c.resample = params.getDoubleIn("resample", 1.0, 0.0);
+  c.budgetMb = params.getIntIn("budget_mb", 2048, 0);
+  c.conformance = params.getBool("conformance", ctx.conformanceDefault);
+  // Every cell serves epb * floor(load * n) events.
+  for (const std::int64_t n : c.nList) {
+    for (const double load : c.loadList) {
+      const double live = load * static_cast<double>(n);
+      const std::string cell =
+          "cell n=" + std::to_string(n) + " load=" + report::formatJsonNumber(load);
+      if (live < 1.0) {
+        util::rejectParam("load_list", loadText,
+                          cell + " has no events (load * n < 1); raise load or n");
+      }
+      if (live * static_cast<double>(c.epb) > 1e18) {
+        util::rejectParam("load_list", loadText, cell + " has over 1e18 events");
+      }
+    }
+  }
+  return c;
+}
+
+void runCapacity(ScenarioContext& ctx) {
+  const CapacityConfig c = readConfig(ctx);
 
   // Conformance monitors bind to one (n, expected balls, epochs) shape at
   // install time, so they attach only when the sweep holds n and load
   // fixed (the CI smoke configuration); trace shape may still vary.
-  const bool monitorable = nList.size() == 1 && loadList.size() == 1;
-  if (conformance && !monitorable) {
+  const bool monitorable = c.nList.size() == 1 && c.loadList.size() == 1;
+  if (c.conformance && !monitorable) {
     ctx.note("conformance monitors attach only to single-(n,load) capacity sweeps; "
              "disabled for this sweep");
   }
-  const bool useMonitors = conformance && monitorable;
+  const bool useMonitors = c.conformance && monitorable;
   if (useMonitors) {
     obs::ServeConformanceParams cp;
-    cp.n = nList.front();
+    cp.n = c.nList.front();
     cp.expectedBalls =
-        static_cast<std::int64_t>(loadList.front() * static_cast<double>(nList.front()));
-    cp.d = d;
-    const std::int64_t cellEvents = epb * cp.expectedBalls;
-    cp.totalEpochs = (cellEvents + epochEvents - 1) / epochEvents;
+        static_cast<std::int64_t>(c.loadList.front() * static_cast<double>(c.nList.front()));
+    cp.d = c.d;
+    const std::int64_t cellEvents = c.epb * cp.expectedBalls;
+    cp.totalEpochs = (cellEvents + c.epochEvents - 1) / c.epochEvents;
     obs::installServeMonitors(ctx.monitors, cp);
   }
 
@@ -129,18 +165,17 @@ void runCapacity(ScenarioContext& ctx) {
   Table timing({"n", "load", "trace", "loop wall s", "events/sec", "p99 ns/event",
                 "state MB", "bytes/ball", "peak RSS MB"});
 
-  for (const std::int64_t n : nList) {
-    for (const double load : loadList) {
-      for (const workload::ComposeSpec& spec : specs) {
+  for (const std::int64_t n : c.nList) {
+    for (const double load : c.loadList) {
+      for (const workload::ComposeSpec& spec : c.specs) {
         const std::string traceName = spec.canonical();
         const auto expectedLive = static_cast<std::int64_t>(load * static_cast<double>(n));
-        const std::int64_t events = epb * expectedLive;
-        RLSLB_ASSERT_MSG(events >= 1, "cell has no events; raise epb or load");
+        const std::int64_t events = c.epb * expectedLive;  // >= 1 (readConfig)
         // Deterministic arrival-share heuristic for the budget gate: at
         // steady state the event mix is lambda*n arrivals vs
         // (mu + resample) * L * n departures/resamples per unit time.
         const double mu = 1.0 / load;
-        const double arrivalShare = 1.0 / (1.0 + (mu + resample) * load);
+        const double arrivalShare = 1.0 / (1.0 + (mu + c.resample) * load);
         const auto ballsEverEstimate =
             expectedLive + static_cast<std::int64_t>(arrivalShare * static_cast<double>(events));
         const std::int64_t estimate =
@@ -153,17 +188,17 @@ void runCapacity(ScenarioContext& ctx) {
         cell.set("trace", traceName);
         cell.set("backend", "compact");
 
-        if (budgetMb > 0 && estimate > budgetMb * 1024 * 1024) {
+        if (c.budgetMb > 0 && estimate > c.budgetMb * 1024 * 1024) {
           sweep.row().cell(n).cell(loadText).cell(traceName).cell("compact").cell(events)
               .cell(0).cell(0).cell(0).cell(0.0, 4).cell(0).cell("skipped");
           cell.set("skipped", true);
           cell.set("estimated_bytes", estimate);
-          cell.set("budget_bytes", budgetMb * 1024 * 1024);
+          cell.set("budget_bytes", c.budgetMb * 1024 * 1024);
           if (ctx.sink != nullptr) ctx.sink->writeFrontier(ctx.activeScenario, cell);
           ctx.note("[capacity] skipped n=" + std::to_string(n) + " load=" + loadText +
                    " trace=" + traceName + ": estimated " +
                    std::to_string(estimate / (1024 * 1024)) + " MB > budget " +
-                   std::to_string(budgetMb) + " MB");
+                   std::to_string(c.budgetMb) + " MB");
           continue;
         }
 
@@ -176,12 +211,12 @@ void runCapacity(ScenarioContext& ctx) {
         base.bins = n;
         base.arrivalRatePerBin = 1.0;
         base.departureRate = mu;
-        base.resampleRate = resample;
+        base.resampleRate = c.resample;
         base.ballWeight = 1;
         base.maxEvents = events;
         workload::ComposedTrace trace(base, spec, traceSeed);
 
-        const std::int64_t totalEpochs = (events + epochEvents - 1) / epochEvents;
+        const std::int64_t totalEpochs = (events + c.epochEvents - 1) / c.epochEvents;
         const std::int64_t warmupEpochs = totalEpochs / 4;
         if (useMonitors) ctx.monitors.beginRun();
         obs::MonitorSet* const monitors = useMonitors ? &ctx.monitors : nullptr;
@@ -203,11 +238,11 @@ void runCapacity(ScenarioContext& ctx) {
 
         serve::AllocatorOptions opt;
         opt.bins = n;
-        opt.arrivalChoices = d;
+        opt.arrivalChoices = c.d;
         capacity::CompactAllocator allocator(opt);
         serve::LoopOptions loopOptions;
-        loopOptions.epochEvents = epochEvents;
-        loopOptions.repairMovesPerEpoch = repair;
+        loopOptions.epochEvents = c.epochEvents;
+        loopOptions.repairMovesPerEpoch = c.repair;
         loopOptions.seed = cellSeed;
         loopOptions.metrics = &ctx.metrics;
         loopOptions.trace = ctx.trace;
@@ -288,7 +323,8 @@ void registerServeCapacity(ScenarioRegistry& r) {
           {"budget_mb", "int", "2048",
            "skip cells whose predicted state exceeds this many MB (0 = no gate)"},
           {"conformance", "bool", "0 (run default)",
-           "attach the serve monitor roster (single-(n,load) sweeps only)"}}});
+           "attach the serve monitor roster (single-(n,load) sweeps only)"}},
+         [](const ScenarioContext& ctx) { (void)readConfig(ctx); }});
 }
 
 }  // namespace rlslb::scenario::builtin

@@ -155,9 +155,11 @@ int runStandalone(int argc, char** argv, const std::string& scenarioName) {
   }
   registerBuiltinScenarios();
   const ScenarioRegistry& registry = ScenarioRegistry::global();
-  // Undeclared key=value params exit 2 before anything runs or is written.
+  // Undeclared key=value params and out-of-range values exit 2 before
+  // anything runs or is written.
   try {
     registry.checkParams({scenarioName}, ctx.params);
+    registry.checkValues({scenarioName}, ctx);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -54,6 +54,38 @@ bool ScenarioParams::getBool(const std::string& name, bool dflt) const {
   return util::parseBool(it->second, name);
 }
 
+std::int64_t ScenarioParams::getIntIn(const std::string& name, std::int64_t dflt,
+                                      std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t v = getInt(name, dflt);
+  if (v < lo || v > hi) {
+    std::string why = "must be ";
+    if (hi == INT64_MAX) {
+      why.append(">= ").append(std::to_string(lo));
+    } else {
+      why.append("in [").append(std::to_string(lo)).append(", ")
+          .append(std::to_string(hi)).append("]");
+    }
+    util::rejectParam(name, getString(name, std::to_string(dflt)), why);
+  }
+  return v;
+}
+
+double ScenarioParams::getDoubleIn(const std::string& name, double dflt, double lo,
+                                   double hi) const {
+  const double v = getDouble(name, dflt);
+  if (!(v >= lo && v <= hi)) {
+    std::string why = "must be a finite number ";
+    if (hi == DBL_MAX) {
+      why.append(">= ").append(report::formatJsonNumber(lo));
+    } else {
+      why.append("in [").append(report::formatJsonNumber(lo)).append(", ")
+          .append(report::formatJsonNumber(hi)).append("]");
+    }
+    util::rejectParam(name, getString(name, report::formatJsonNumber(dflt)), why);
+  }
+  return v;
+}
+
 std::vector<std::string> ScenarioParams::unusedKeys() const {
   std::vector<std::string> out;
   for (const auto& [k, _] : values_) {

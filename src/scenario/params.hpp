@@ -9,6 +9,7 @@
 // through ScenarioContext, not process-wide flags.
 #pragma once
 
+#include <cfloat>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -34,6 +35,13 @@ class ScenarioParams {
   [[nodiscard]] std::int64_t getInt(const std::string& name, std::int64_t dflt) const;
   [[nodiscard]] double getDouble(const std::string& name, double dflt) const;
   [[nodiscard]] bool getBool(const std::string& name, bool dflt) const;
+  /// getInt / getDouble that also reject a value outside [lo, hi] (NaN and
+  /// infinities included) with the "parameter k=v: must be ..." diagnostic.
+  [[nodiscard]] std::int64_t getIntIn(const std::string& name, std::int64_t dflt,
+                                      std::int64_t lo,
+                                      std::int64_t hi = INT64_MAX) const;
+  [[nodiscard]] double getDoubleIn(const std::string& name, double dflt, double lo,
+                                   double hi = DBL_MAX) const;
 
   /// Keys never queried by any getter. The driver aborts when a key was
   /// consumed by none of the scenarios it ran.

@@ -87,6 +87,14 @@ void ScenarioRegistry::checkParams(const std::vector<std::string>& names,
   if (!message.empty()) throw std::invalid_argument(message);
 }
 
+void ScenarioRegistry::checkValues(const std::vector<std::string>& names,
+                                   const ScenarioContext& ctx) const {
+  for (const std::string& name : names) {
+    const Scenario& s = require(name);
+    if (s.check) s.check(ctx);
+  }
+}
+
 void ScenarioRegistry::runOne(const std::string& name, ScenarioContext& ctx) const {
   const Scenario* s = &require(name);
 

@@ -129,6 +129,11 @@ struct Scenario {
   /// parameters read the same way. Defaulted so parameterless scenarios
   /// keep the four-field aggregate registration.
   std::vector<process::ParamSpec> params = {};
+  /// Optional check of the param *values* (ranges, cross-param limits):
+  /// throws std::invalid_argument with the util/parse diagnostic
+  /// "parameter k=v: why". The drivers call it through checkValues before
+  /// anything runs or is written.
+  std::function<void(const ScenarioContext&)> check = {};
 };
 
 class ScenarioRegistry {
@@ -155,6 +160,9 @@ class ScenarioRegistry {
   /// line per key, when `params` holds a key that none of the named
   /// scenarios declares in its ParamSpec list.
   void checkParams(const std::vector<std::string>& names, const ScenarioParams& params) const;
+  /// The drivers' second check before any scenario runs: each named
+  /// scenario's `check` (if it has one) against the run's params.
+  void checkValues(const std::vector<std::string>& names, const ScenarioContext& ctx) const;
 
  private:
   /// The named scenario; throws std::out_of_range listing the roster.

@@ -25,7 +25,13 @@
 //      whatever imbalance the stale snapshot let through (the
 //      bulk-synchronous analogue of the paper's background RLS clocks). A
 //      final allocator flush -- still inside the epoch timer -- settles any
-//      deferred deltas before observers look.
+//      deferred deltas before observers look. The flush also hands each
+//      net-changed bin to the allocator's sim::BalanceTracker.
+//
+// Observation (outside the timer): balanceState() and residentBytes() are
+// O(1) reads on both allocators, so the per-epoch gap, memory gauges,
+// monitor sample and callback cost O(1) plus the flush's O(changed bins),
+// never O(n).
 //
 // Determinism: decisions are per-event pure functions of (snapshot,
 // ordinal-derived rng), apply order is the trace order, and the repair

@@ -11,7 +11,8 @@ OnlineAllocator::OnlineAllocator(const AllocatorOptions& options)
       binLoad_(static_cast<std::size_t>(options.bins), 0),
       mass_(static_cast<std::size_t>(options.bins)),
       binBalls_(static_cast<std::size_t>(options.bins)),
-      dirtyMark_(static_cast<std::size_t>(options.bins), 0) {
+      dirtyMark_(static_cast<std::size_t>(options.bins), 0),
+      tracker_(options.bins) {
   RLSLB_ASSERT_MSG(options_.bins >= 1, "AllocatorOptions.bins must be >= 1");
   RLSLB_ASSERT_MSG(options_.arrivalChoices >= 1,
                    "AllocatorOptions.arrivalChoices must be >= 1");
@@ -144,6 +145,7 @@ void OnlineAllocator::flush() {
     if (after == before) continue;  // net-zero over the batch: nothing to do
     binLoad_[b] = after;
     mass_.add(b, after - before);
+    tracker_.onLoadChange(before, after);
     ++flushedBins_;
   }
   dirty_.clear();
@@ -157,7 +159,7 @@ void OnlineAllocator::placeBall(std::int64_t ball, std::int64_t weight, std::int
       balls_.emplace(ball, BallRec{bin, weight, static_cast<std::int32_t>(slot.size())});
   RLSLB_ASSERT_MSG(inserted, "arrive event for a ball id that is already live");
   (void)it;
-  slot.push_back(ball);
+  pushBall(slot, ball);
   changeLoad(bin, weight);
   ++liveBalls_;
 }
@@ -171,12 +173,21 @@ void OnlineAllocator::eraseBall(std::int64_t ball, const BallRec& rec) {
   if (moved != ball) balls_.at(moved).slot = rec.slot;
 }
 
+void OnlineAllocator::pushBall(std::vector<std::int64_t>& slot, std::int64_t ball) {
+  const std::size_t before = slot.capacity();
+  slot.push_back(ball);
+  if (slot.capacity() != before) {
+    binListBytes_ +=
+        static_cast<std::int64_t>((slot.capacity() - before) * sizeof(std::int64_t));
+  }
+}
+
 void OnlineAllocator::moveBall(std::int64_t ball, BallRec* rec, std::int32_t toBin) {
   const BallRec old = *rec;
   eraseBall(ball, old);
   auto& dstSlot = binBalls_[static_cast<std::size_t>(toBin)];
   *rec = BallRec{toBin, old.weight, static_cast<std::int32_t>(dstSlot.size())};
-  dstSlot.push_back(ball);
+  pushBall(dstSlot, ball);
   changeLoad(old.bin, -old.weight);
   changeLoad(toBin, old.weight);
 }
@@ -191,13 +202,17 @@ std::int64_t OnlineAllocator::residentBytes() const {
   bytes += static_cast<std::int64_t>((mass_.size() + 1) * sizeof(std::int64_t));
   bytes += static_cast<std::int64_t>(binBalls_.capacity() *
                                      sizeof(std::vector<std::int64_t>));
-  for (const auto& slot : binBalls_) bytes += vecBytes(slot);
+  bytes += binListBytes_;
   bytes += static_cast<std::int64_t>(balls_.heapBytes());
+  bytes += tracker_.heapBytes();
   return bytes;
 }
 
 sim::BalanceState OnlineAllocator::balanceState() const {
-  return scanBalance(loads_, totalLoad_);
+  // Settle deltas a raw apply() left pending, as validate() does; the
+  // event loop flushes every epoch, so this is a no-op there.
+  if (!dirty_.empty()) const_cast<OnlineAllocator*>(this)->flush();
+  return tracker_.state();
 }
 
 bool OnlineAllocator::validate() const {

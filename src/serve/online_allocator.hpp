@@ -30,15 +30,17 @@
 // Rejected resamples -- the steady-state common case -- never touch a
 // structure at all. Fenwick node values depend only on final per-bin
 // loads, so the flushed state is byte-identical to eager per-event
-// updates. There is no maintained level histogram: min/max/overload
-// queries are a per-epoch observation, so they scan the (always-current)
-// flat load array on demand instead of taxing every load change in the
-// hot loop. repairMove() and validate() flush at entry.
+// updates. The same flush hands each net change to a sim::BalanceTracker
+// (the paper's Section-3 lumped state: #bins per load level), so min, max
+// and the overloaded-ball count are O(1) reads after an epoch and the
+// per-epoch observation costs O(changed bins), never O(n). repairMove()
+// and validate() flush at entry; balanceState() settles pending deltas
+// first, so it is exact after raw apply() calls too.
 //
 // This header also holds what both serving allocators share -- this one
 // and the compact capacity::CompactAllocator: the options, the Decision
-// and ServeCounters types, the decision rule (decideOver) and the balance
-// scan (scanBalance) -- so serve::EpochLoop drives either one.
+// and ServeCounters types, and the decision rule (decideOver) -- so
+// serve::EpochLoop drives either one.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +50,7 @@
 #include "ds/flat_map.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "sim/balance_tracker.hpp"
 #include "sim/engine.hpp"
 #include "workload/event.hpp"
 
@@ -117,31 +120,6 @@ template <class Load>
   return d;
 }
 
-/// The balance view of both allocators: min, max and the overloaded-ball
-/// excess over ceil(total / n) in one O(n) pass over the live load array.
-/// `totalWeight` is the carried weight, so discrepancy()/xBalanced() are
-/// in weight units.
-template <class Load>
-[[nodiscard]] inline sim::BalanceState scanBalance(const std::vector<Load>& loads,
-                                                   std::int64_t totalWeight) {
-  sim::BalanceState state;
-  state.numBins = static_cast<std::int64_t>(loads.size());
-  state.numBalls = totalWeight;
-  const std::int64_t ceilAvg = (totalWeight + state.numBins - 1) / state.numBins;
-  Load lo = loads[0];
-  Load hi = loads[0];
-  std::int64_t overloaded = 0;
-  for (const Load v : loads) {
-    lo = v < lo ? v : lo;
-    hi = v > hi ? v : hi;
-    overloaded += v > ceilAvg ? v - ceilAvg : 0;
-  }
-  state.minLoad = lo;
-  state.maxLoad = hi;
-  state.overloadedBalls = overloaded;
-  return state;
-}
-
 class OnlineAllocator {
  public:
   explicit OnlineAllocator(const AllocatorOptions& options);
@@ -162,8 +140,9 @@ class OnlineAllocator {
   void applyBatch(const workload::Event* events, const Decision* decisions,
                   std::size_t count);
 
-  /// Reconcile every deferred load delta into the Fenwick tree and the
-  /// binLoad_ view (O(dirty bins); a no-op when clean). The event loop
+  /// Reconcile every deferred load delta into the Fenwick tree, the
+  /// binLoad_ view and the balance tracker (O(dirty bins); a no-op when
+  /// clean). The event loop
   /// calls this inside its timed region so the flush cost lands in the
   /// epoch it belongs to, never in an observer.
   void flush();
@@ -181,9 +160,9 @@ class OnlineAllocator {
   [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
   [[nodiscard]] std::int64_t liveBalls() const { return liveBalls_; }
   /// The live state as the closed-system balance view (sim::BalanceState,
-  /// the same vocabulary process::Process::state() speaks): one O(n)
-  /// scanBalance pass over the live load array. Out of line, so a caller
-  /// that times it and drops the result still pays for the scan.
+  /// the same vocabulary process::Process::state() speaks), in weight
+  /// units: the tracker's state, O(1) once flushed. Pending deltas from
+  /// raw apply() calls are settled first (O(dirty bins)).
   [[nodiscard]] sim::BalanceState balanceState() const;
   /// max - min bin load: the serving analogue of the discrepancy.
   [[nodiscard]] std::int64_t gap() const {
@@ -202,11 +181,18 @@ class OnlineAllocator {
 
   /// Heap bytes currently held by the allocator's state structures
   /// (capacity-based: load arrays, Fenwick tree, per-bin ball lists, ball
-  /// map). O(bins); sampled by the event loop at epoch boundaries
-  /// for the serve.mem.* gauges — a capacity-planning observation, never
-  /// part of the deterministic "table" records (vector growth policy is
-  /// stdlib-dependent).
+  /// map, balance tracker). O(1): the per-bin lists' bytes are a running
+  /// count, updated whenever a list's capacity changes. Sampled by the
+  /// event loop at epoch boundaries for the serve.mem.* gauges — a
+  /// capacity-planning observation, never part of the deterministic
+  /// "table" records (vector growth policy is stdlib-dependent).
   [[nodiscard]] std::int64_t residentBytes() const;
+  /// The per-bin ball lists' share of residentBytes() (the running count).
+  [[nodiscard]] std::int64_t binListBytes() const { return binListBytes_; }
+  /// Ball ids in `bin`, in slot order (the repair pick indexes this list).
+  [[nodiscard]] const std::vector<std::int64_t>& binBalls(std::int32_t bin) const {
+    return binBalls_[static_cast<std::size_t>(bin)];
+  }
 
   /// Internal-consistency scan of the load array, Fenwick tree, per-bin
   /// ball lists and ball map (O(n + m); tests only).
@@ -224,13 +210,16 @@ class OnlineAllocator {
   void placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin);
   void moveBall(std::int64_t ball, BallRec* rec, std::int32_t toBin);
   void eraseBall(std::int64_t ball, const BallRec& rec);
+  /// Append to a per-bin list, keeping binListBytes_ current.
+  void pushBall(std::vector<std::int64_t>& slot, std::int64_t ball);
   /// O(1) amortized: the mark byte dedups dirty-list entries.
   void markDirty(std::int32_t bin);
 
   AllocatorOptions options_;
   std::vector<std::int64_t> loads_;    // live bin loads
-  // `binLoad_` and `mass_` lag `loads_` by the bins listed in `dirty_`
-  // until the next flush() (see the deferred-accounting note at the top).
+  // `binLoad_`, `mass_` and `tracker_` lag `loads_` by the bins listed in
+  // `dirty_` until the next flush() (see the deferred-accounting note at
+  // the top).
   std::vector<std::int64_t> binLoad_;  // flushed view of loads_
   ds::Fenwick<std::int64_t> mass_{1};
   std::vector<std::vector<std::int64_t>> binBalls_;  // ball ids per bin
@@ -242,6 +231,9 @@ class OnlineAllocator {
   std::int64_t totalLoad_ = 0;
   std::int64_t liveBalls_ = 0;
   std::int64_t maxWeightSeen_ = 0;
+  // Read once per epoch, not per event: kept after the hot-loop fields.
+  sim::BalanceTracker tracker_;    // level counts of binLoad_
+  std::int64_t binListBytes_ = 0;  // sum of binBalls_[b].capacity() * 8
 };
 
 }  // namespace rlslb::serve

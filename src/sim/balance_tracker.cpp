@@ -1,10 +1,18 @@
 #include "sim/balance_tracker.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "util/assert.hpp"
 
 namespace rlslb::sim {
+
+BalanceTracker::BalanceTracker(std::int64_t numBins) : counts_(1, 0) {
+  RLSLB_ASSERT_MSG(numBins >= 1 && numBins <= INT32_MAX,
+                   "BalanceTracker needs 1..INT32_MAX bins");
+  counts_[0] = static_cast<std::int32_t>(numBins);
+  state_.numBins = numBins;
+}
 
 void BalanceTracker::reset(const std::vector<std::int64_t>& loads) {
   RLSLB_ASSERT_MSG(!loads.empty(), "BalanceTracker needs at least one bin");
@@ -36,44 +44,15 @@ void BalanceTracker::recomputeOverloaded() {
   }
 }
 
-void BalanceTracker::onLoadChange(std::int64_t from, std::int64_t to) {
-  if (from == to) return;
-  RLSLB_ASSERT(to >= 0);
+void BalanceTracker::grow(std::int64_t level) {
+  counts_.resize(std::max<std::size_t>(static_cast<std::size_t>(level) + 1,
+                                       counts_.size() * 2),
+                 0);
+}
 
-  if (to >= static_cast<std::int64_t>(counts_.size())) {
-    counts_.resize(std::max<std::size_t>(static_cast<std::size_t>(to) + 1,
-                                         counts_.size() * 2),
-                   0);
-  }
-  // Occupy the new level first so the min/max walks below always terminate
-  // there at the latest (the walk is thus bounded by |to - from|).
-  ++counts_[static_cast<std::size_t>(to)];
-  if (to > state_.maxLoad) state_.maxLoad = to;
-  if (to < state_.minLoad) state_.minLoad = to;
-
-  RLSLB_ASSERT_MSG(from >= 0 && from < static_cast<std::int64_t>(counts_.size()) &&
-                       counts_[static_cast<std::size_t>(from)] >= 1,
-                   "load change from a level no bin occupies");
-  if (--counts_[static_cast<std::size_t>(from)] == 0) {
-    if (from == state_.maxLoad) {
-      while (counts_[static_cast<std::size_t>(state_.maxLoad)] == 0) --state_.maxLoad;
-    }
-    if (from == state_.minLoad) {
-      while (counts_[static_cast<std::size_t>(state_.minLoad)] == 0) ++state_.minLoad;
-    }
-  }
-
-  state_.numBalls += to - from;
-  const std::int64_t newCeil = (state_.numBalls + state_.numBins - 1) / state_.numBins;
-  if (newCeil != ceilAvg_) {
-    // The overload threshold itself moved (open systems only): re-sum the
-    // suffix above the new ceiling.
-    ceilAvg_ = newCeil;
-    recomputeOverloaded();
-    return;
-  }
-  if (from > ceilAvg_) state_.overloadedBalls -= from - ceilAvg_;
-  if (to > ceilAvg_) state_.overloadedBalls += to - ceilAvg_;
+void BalanceTracker::resetCeiling() {
+  ceilAvg_ = (state_.numBalls + state_.numBins - 1) / state_.numBins;
+  recomputeOverloaded();
 }
 
 }  // namespace rlslb::sim

@@ -19,17 +19,20 @@
 //     systems only) re-sums the suffix above it, O(spread).
 //
 // Memory is O(max load seen), grown on demand -- fine for every tracked
-// family (CRS, the ext engines, the open system), whose loads are a small
-// multiple of the average. The sim engines keep their own bookkeeping.
+// family (CRS, the ext engines, the open system, the two serving
+// allocators), whose loads are a small multiple of the average. The sim
+// engines keep their own bookkeeping.
 // Bulk-rewrite dynamics (the synchronous round protocols rewrite Theta(m)
 // loads per round) should NOT pay per-move tracking at all; they recompute
 // lazily per round instead (see protocols/round_protocol.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "util/assert.hpp"
 
 namespace rlslb::sim {
 
@@ -37,14 +40,52 @@ class BalanceTracker {
  public:
   BalanceTracker() = default;
   explicit BalanceTracker(const std::vector<std::int64_t>& loads) { reset(loads); }
+  /// `numBins` empty bins in O(1): one level-0 count, no n-sized pass.
+  explicit BalanceTracker(std::int64_t numBins);
 
   /// Rebuild from scratch, O(n + max load).
   void reset(const std::vector<std::int64_t>& loads);
 
   /// Account one bin's load changing from `from` to `to` (any delta; the
   /// total ball count may change). O(|to - from|) plus the ceiling re-sum
-  /// above.
-  void onLoadChange(std::int64_t from, std::int64_t to);
+  /// above. Inline: the serving allocators call it once per net-changed
+  /// bin per epoch.
+  void onLoadChange(std::int64_t from, std::int64_t to) {
+    if (from == to) return;
+    RLSLB_ASSERT(to >= 0);
+    if (to >= static_cast<std::int64_t>(counts_.size())) grow(to);
+    // Occupy the new level first so the min/max walks below always
+    // terminate there at the latest (the walk is thus bounded by
+    // |to - from|).
+    ++counts_[static_cast<std::size_t>(to)];
+    state_.maxLoad = std::max(state_.maxLoad, to);
+    state_.minLoad = std::min(state_.minLoad, to);
+
+    RLSLB_ASSERT_MSG(from >= 0 && from < static_cast<std::int64_t>(counts_.size()) &&
+                         counts_[static_cast<std::size_t>(from)] >= 1,
+                     "load change from a level no bin occupies");
+    if (--counts_[static_cast<std::size_t>(from)] == 0) {
+      if (from == state_.maxLoad) {
+        while (counts_[static_cast<std::size_t>(state_.maxLoad)] == 0) --state_.maxLoad;
+      }
+      if (from == state_.minLoad) {
+        while (counts_[static_cast<std::size_t>(state_.minLoad)] == 0) ++state_.minLoad;
+      }
+    }
+
+    state_.numBalls += to - from;
+    // ceil(m/n) stays c exactly while (c-1)*n < m <= c*n: two multiplies
+    // instead of a division per change.
+    if (state_.numBalls > ceilAvg_ * state_.numBins ||
+        state_.numBalls <= (ceilAvg_ - 1) * state_.numBins) {
+      // The overload threshold itself moved (open systems only): re-sum
+      // the suffix above the new ceiling.
+      resetCeiling();
+      return;
+    }
+    state_.overloadedBalls += std::max<std::int64_t>(to - ceilAvg_, 0) -
+                              std::max<std::int64_t>(from - ceilAvg_, 0);
+  }
 
   [[nodiscard]] const BalanceState& state() const { return state_; }
 
@@ -54,12 +95,21 @@ class BalanceTracker {
     return counts_[static_cast<std::size_t>(level)];
   }
 
+  /// Heap bytes of the level array (capacity-based).
+  [[nodiscard]] std::int64_t heapBytes() const {
+    return static_cast<std::int64_t>(counts_.capacity() * sizeof(counts_[0]));
+  }
+
  private:
   std::vector<std::int32_t> counts_;  // load value -> #bins (dense)
   BalanceState state_;
   std::int64_t ceilAvg_ = 0;
 
   void recomputeOverloaded();
+  /// Grow the level array to hold `level` (amortized doubling).
+  void grow(std::int64_t level);
+  /// Recompute ceil(m/n) and re-sum the overloaded balls above it.
+  void resetCeiling();
 };
 
 }  // namespace rlslb::sim

@@ -22,6 +22,11 @@ double parseDouble(const std::string& text, const std::string& what);
 /// true/1/yes/on and false/0/no/off.
 bool parseBool(const std::string& text, const std::string& what);
 
+/// Throw the parsers' diagnostic, "parameter <what>=<text>: <why>", for a
+/// value that parses but is out of range for its parameter.
+[[noreturn]] void rejectParam(const std::string& what, const std::string& text,
+                              const std::string& why);
+
 /// Split a `sep`-separated list param ("a,b,c"). Throws on an empty list
 /// and on any empty entry ("a,,b", a trailing separator), so a stray
 /// separator never silently shortens the list.

@@ -312,5 +312,26 @@ TEST(ServeCapacityParams, MalformedListEntryThrowsTheParameterDiagnostic) {
             "parameter traces=poisson;: empty list entry");
 }
 
+TEST(ServeCapacityParams, OutOfRangeValuesThrowTheParameterDiagnostic) {
+  EXPECT_EQ(thrownBy({"n_list=0", "epb=1"}),
+            "parameter n_list=0: entries must be in [1, 2147483647]");
+  EXPECT_EQ(thrownBy({"n_list=100", "load_list=-1", "epb=1"}),
+            "parameter load_list=-1: entries must be finite numbers > 0");
+  EXPECT_EQ(thrownBy({"n_list=100", "epoch=0", "epb=1"}),
+            "parameter epoch=0: must be >= 1");
+  EXPECT_EQ(thrownBy({"n_list=100", "epb=0"}), "parameter epb=0: must be >= 1");
+  EXPECT_EQ(thrownBy({"traces=bogus", "n_list=100", "epb=1"}),
+            "parameter traces=bogus: unknown factor 'bogus' at offset 5; see `rlslb traces`");
+  EXPECT_EQ(thrownBy({"traces=poisson;hotspot(16,32,8)", "n_list=100", "epb=1"}),
+            "parameter traces=poisson;hotspot(16,32,8): capacity sweeps run unit weights; "
+            "use hotspot(period,size,1)");
+  // Every cell is checked before the first one (n=1000) runs.
+  EXPECT_EQ(thrownBy({"n_list=1000,1", "load_list=0.5", "epb=1"}),
+            "parameter load_list=0.5: cell n=1 load=0.5 has no events (load * n < 1); "
+            "raise load or n");
+  EXPECT_EQ(thrownBy({"n_list=100", "load_list=1", "epb=1", "repair=-1"}),
+            "parameter repair=-1: must be in [0, 2147483647]");
+}
+
 }  // namespace
 }  // namespace rlslb::capacity

@@ -136,6 +136,51 @@ TEST(Harness, UndeclaredParamExitsBeforeTheRunWritesNothing) {
   }
 }
 
+// An out-of-range value that parses exits 2 with the "parameter k=v: why"
+// diagnostic before the scenario runs: no allocator or generator is
+// built and the --out sink is never opened.
+TEST(Harness, OutOfRangeValueExitsBeforeTheRunWritesNothing) {
+  const std::pair<std::string, std::vector<std::string>> cases[] = {
+      {"serve_capacity", {"n_list=0", "epb=1"}},
+      {"serve_capacity", {"n_list=100", "load_list=-1", "epb=1"}},
+      {"serve_capacity", {"n_list=100", "epoch=0", "epb=1"}},
+      {"serve_capacity", {"traces=bogus", "n_list=100", "epb=1"}},
+      {"serve_capacity", {"traces=hotspot(16,32,8)", "n_list=100", "epb=1"}},
+      {"serve_capacity", {"n_list=1", "load_list=0.5", "epb=1"}},
+      {"serve_capacity", {"n_list=100", "epb=1", "budget_mb=-1"}},
+      {"serve_poisson", {"n=0"}},
+      {"serve_poisson", {"trace=" + ::testing::TempDir() + "no_such_trace.jsonl"}},
+      {"serve_adversarial", {"n=64", "hot_weight=0"}},
+  };
+  int index = 0;
+  for (const auto& [name, params] : cases) {
+    const std::string outPath =
+        ::testing::TempDir() + "out_of_range_" + std::to_string(index++) + ".jsonl";
+    std::remove(outPath.c_str());
+    std::vector<std::string> args = {"bench_" + name, "--out=" + outPath};
+    args.insert(args.end(), params.begin(), params.end());
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    EXPECT_EQ(runStandalone(static_cast<int>(argv.size()), argv.data(), name), 2)
+        << params.front();
+    EXPECT_FALSE(std::ifstream(outPath).good()) << params.front() << ": the sink was opened";
+  }
+}
+
+TEST(ScenarioRegistry, CheckValuesRunsEachNamedScenariosCheck) {
+  ScenarioRegistry r;
+  registerBuiltinScenarios(r);
+  ScenarioContext ctx;
+  ctx.params = paramsOf({"n=0"});
+  EXPECT_NO_THROW(r.checkValues({"serve_capacity"}, ctx));  // reads no `n`
+  try {
+    r.checkValues({"serve_capacity", "serve_poisson"}, ctx);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "parameter n=0: must be in [1, 2147483647]");
+  }
+}
+
 TEST(ScenarioRegistry, BuiltinRosterAtLeastElevenAndIdempotent) {
   ScenarioRegistry r;
   registerBuiltinScenarios(r);

@@ -2,9 +2,10 @@
 // byte-identical -- final load vector, every semantic counter, and the
 // per-epoch gap trajectory -- to the frozen reference loop
 // (tests/serve_reference.hpp) across epoch granularities, trace kinds,
-// and seeds. Plus LoopOptions validation death tests and the
-// EpochStats/RunResult timing contract, pinned for both allocators the
-// loop drives.
+// and seeds. Plus LoopOptions validation death tests, the
+// EpochStats/RunResult timing contract, and each allocator's flush-fed
+// balance tracker against a from-scratch scan of its loads, pinned for
+// both allocators the loop drives.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,9 +16,11 @@
 
 #include "runner/thread_pool.hpp"
 #include "capacity/compact_allocator.hpp"
+#include "rng/xoshiro256pp.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "serve_reference.hpp"
+#include "sim/engine.hpp"
 #include "workload/generators.hpp"
 
 namespace rlslb::serve {
@@ -349,6 +352,121 @@ TEST(FusedDifferential, HighContentionLongEpochs) {
     got.totalLoad = allocator.totalLoad();
     expectIdentical(ref, got, "stress bins,epoch", c.bins, c.epochEvents);
   }
+}
+
+// ------------------------------------------------ balance tracker vs scan
+
+/// Test-side copy of the O(n) balance scan both allocators ran after every
+/// epoch before the flush-fed tracker replaced it: min, max and the
+/// overloaded-ball excess over ceil(total / n), from scratch.
+template <class Load>
+sim::BalanceState scanBalance(const std::vector<Load>& loads, std::int64_t totalWeight) {
+  sim::BalanceState state;
+  state.numBins = static_cast<std::int64_t>(loads.size());
+  state.numBalls = totalWeight;
+  const std::int64_t ceilAvg = (totalWeight + state.numBins - 1) / state.numBins;
+  Load lo = loads[0];
+  Load hi = loads[0];
+  std::int64_t overloaded = 0;
+  for (const Load v : loads) {
+    lo = v < lo ? v : lo;
+    hi = v > hi ? v : hi;
+    overloaded += v > ceilAvg ? v - ceilAvg : 0;
+  }
+  state.minLoad = lo;
+  state.maxLoad = hi;
+  state.overloadedBalls = overloaded;
+  return state;
+}
+
+/// Asserts `state` equals a from-scratch scan of `allocator`'s live loads.
+template <class Allocator>
+void expectMatchesScan(const sim::BalanceState& state, const Allocator& allocator,
+                       std::int64_t step) {
+  const sim::BalanceState scan = scanBalance(allocator.loads(), allocator.totalLoad());
+  EXPECT_EQ(state.numBins, scan.numBins) << "step " << step;
+  EXPECT_EQ(state.numBalls, scan.numBalls) << "step " << step;
+  EXPECT_EQ(state.minLoad, scan.minLoad) << "step " << step;
+  EXPECT_EQ(state.maxLoad, scan.maxLoad) << "step " << step;
+  EXPECT_EQ(state.overloadedBalls, scan.overloadedBalls) << "step " << step;
+}
+
+/// Runs `trace` through the loop and checks, after every epoch, both the
+/// EpochStats balance and a fresh balanceState() against the scan. Returns
+/// how many epochs moved ceil(total / n), the tracker's re-sum trigger.
+template <class Allocator>
+std::int64_t runAgainstScan(Allocator& allocator, workload::TraceGenerator& trace,
+                            std::int64_t epochEvents) {
+  LoopOptions options;
+  options.epochEvents = epochEvents;
+  options.seed = 5;
+  EpochLoop loop(allocator, options);
+  const std::int64_t n = allocator.numBins();
+  std::int64_t ceilMoves = 0;
+  std::int64_t lastCeil = 0;
+  const auto result = loop.run(trace, [&](const EpochStats& s) {
+    expectMatchesScan(s.balance, allocator, s.epoch);
+    expectMatchesScan(allocator.balanceState(), allocator, s.epoch);
+    const std::int64_t ceil = (s.totalLoad + n - 1) / n;
+    if (ceil != lastCeil) ++ceilMoves;
+    lastCeil = ceil;
+  });
+  EXPECT_GT(result.epochs, 0);
+  EXPECT_TRUE(allocator.validate());
+  return ceilMoves;
+}
+
+template <class Allocator>
+class TrackerVsScan : public ::testing::Test {};
+TYPED_TEST_SUITE(TrackerVsScan, LoopAllocators);
+
+// Load factor 1 (mu = lambda): the total hovers around n and crosses
+// multiples of n, so ceil(m/n) moves and the tracker's overload re-sum runs.
+TYPED_TEST(TrackerVsScan, LoadOneTrafficMovesTheOverloadCeiling) {
+  workload::OpenTraceOptions base;
+  base.bins = 32;
+  base.arrivalRatePerBin = 1.0;
+  base.departureRate = 1.0;
+  base.resampleRate = 1.0;
+  base.maxEvents = 20000;
+  workload::PoissonTrace trace(base, 17);
+  TypeParam allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 2});
+  EXPECT_GE(runAgainstScan(allocator, trace, 64), 4);
+}
+
+// The inverted acceptance rule drives the gap up: wide, moving min/max.
+TYPED_TEST(TrackerVsScan, InvertedAcceptance) {
+  auto trace = makeTrace(TraceKind::kPoisson, 24, 8000, 3);
+  TypeParam allocator(
+      AllocatorOptions{.bins = 24, .arrivalChoices = 2, .invertAcceptance = true});
+  runAgainstScan(allocator, *trace, 128);
+  EXPECT_GT(allocator.gap(), 4);
+}
+
+// Raw applyBatch() calls with no loop leave deltas pending; balanceState()
+// must settle them and still equal the scan of the live loads.
+TYPED_TEST(TrackerVsScan, RawApplyWithPendingDeltas) {
+  auto trace = makeTrace(TraceKind::kBursty, 16, 3000, 9);
+  TypeParam allocator(AllocatorOptions{.bins = 16, .arrivalChoices = 2});
+  rng::Xoshiro256pp eng(3);
+  workload::Event event;
+  std::int64_t step = 0;
+  while (trace->next(&event)) {
+    const Decision decision = allocator.decide(event, eng);
+    allocator.applyBatch(&event, &decision, 1);
+    if (++step % 7 == 0) expectMatchesScan(allocator.balanceState(), allocator, step);
+  }
+  expectMatchesScan(allocator.balanceState(), allocator, step);
+  EXPECT_TRUE(allocator.validate());
+}
+
+// Weighted hot-spot bursts (weight-8 balls; dense only, compact is
+// unit-weight): one flush moves a bin by many levels at once.
+TEST(TrackerVsScanDense, WeightedHotspotTraffic) {
+  auto trace = makeTrace(TraceKind::kAdversarial, 32, 20000, 11);
+  OnlineAllocator allocator(AllocatorOptions{.bins = 32, .arrivalChoices = 2});
+  runAgainstScan(allocator, *trace, 256);
+  EXPECT_GT(allocator.maxWeightSeen(), 1);
 }
 
 }  // namespace

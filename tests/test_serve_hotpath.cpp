@@ -3,8 +3,9 @@
 //     ordinal/epoch counters, so a reused loop draws exactly the streams a
 //     fresh loop would);
 //   - the zero-allocation claim (steady-state epochs — balanced system,
-//     resample-only traffic — perform no heap allocation at all, pinned by
-//     a global operator new counting hook);
+//     resample-only traffic — perform no heap allocation at all, on both
+//     allocators, pinned by a global operator new counting hook);
+//   - the dense allocator's O(1) resident-byte count against a walk;
 //   - the deferred-accounting lazy flush (merged-view accessors agree with
 //     eager bookkeeping without an explicit flush call).
 // The byte-identity of the snapshot-free decision phase and the deferred
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "capacity/compact_allocator.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/online_allocator.hpp"
 #include "workload/generators.hpp"
@@ -227,6 +229,83 @@ TEST(SteadyStateAllocations, FusedPathIsAllocationFree) {
     EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated";
   }
   EXPECT_TRUE(allocator.validate());
+}
+
+// The compact allocator under the same steady state: its dirty-bin flush
+// feeds the balance tracker too, and neither may allocate once epoch 0 has
+// grown the buffers.
+TEST(SteadyStateAllocations, CompactPathIsAllocationFree) {
+  constexpr std::int64_t kBins = 64;
+  constexpr std::int64_t kBalls = 256;  // exactly 4 per bin: gap 0
+  constexpr std::int64_t kEpochEvents = 256;
+  constexpr std::int64_t kResampleEpochs = 16;
+
+  capacity::CompactAllocator allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
+  for (std::int64_t ball = 0; ball < kBalls; ++ball) {
+    workload::Event e;
+    e.kind = workload::EventKind::kArrive;
+    e.ball = ball;
+    e.weight = 1;
+    const Decision d{static_cast<std::int32_t>(ball % kBins)};
+    allocator.applyBatch(&e, &d, 1);
+  }
+  ASSERT_EQ(allocator.gap(), 0);
+
+  LoopOptions options = hotpathOptions();
+  options.epochEvents = kEpochEvents;
+  EpochLoop loop(allocator, options);
+  ResampleOnlyTrace trace(kBalls, kEpochEvents * kResampleEpochs);
+
+  std::vector<std::int64_t> perEpoch;
+  perEpoch.reserve(64);
+  std::int64_t last = 0;
+  g_allocCount.store(0);
+  g_countAllocs.store(true);
+  const auto result = loop.run(trace, [&](const EpochStats&) {
+    const std::int64_t now = allocCount();
+    perEpoch.push_back(now - last);
+    last = now;
+  });
+  g_countAllocs.store(false);
+
+  ASSERT_EQ(result.epochs, kResampleEpochs);
+  EXPECT_EQ(allocator.gap(), 0);
+  EXPECT_EQ(allocator.counters().migrations, 0);
+  ASSERT_EQ(perEpoch.size(), static_cast<std::size_t>(kResampleEpochs));
+  for (std::size_t i = 1; i < perEpoch.size(); ++i) {
+    EXPECT_EQ(perEpoch[i], 0) << "epoch " << i << " allocated";
+  }
+  EXPECT_TRUE(allocator.validate());
+}
+
+// ------------------------------------------------------- resident bytes
+
+// The dense allocator's per-bin list bytes are a running count (so
+// residentBytes() is O(1)); after weighted traffic with arrivals,
+// departures and migrations it must equal a walk over every list.
+TEST(ResidentBytes, BinListBytesEqualACapacityWalkAfterAWeightedRun) {
+  constexpr std::int64_t kBins = 48;
+  workload::HotspotTraceOptions o;
+  o.base.bins = kBins;
+  o.base.arrivalRatePerBin = 1.0;
+  o.base.departureRate = 0.25;
+  o.base.resampleRate = 1.0;
+  o.base.maxEvents = 30000;
+  workload::HotspotTrace trace(o, 13);
+  OnlineAllocator allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
+  EpochLoop loop(allocator, hotpathOptions());
+  loop.run(trace);
+  ASSERT_GT(allocator.maxWeightSeen(), 1);
+  ASSERT_GT(allocator.counters().migrations, 0);
+
+  std::int64_t walk = 0;
+  for (std::int32_t bin = 0; bin < kBins; ++bin) {
+    walk += static_cast<std::int64_t>(allocator.binBalls(bin).capacity() *
+                                      sizeof(std::int64_t));
+  }
+  EXPECT_GT(walk, 0);
+  EXPECT_EQ(allocator.binListBytes(), walk);
+  EXPECT_GT(allocator.residentBytes(), walk);
 }
 
 // ---------------------------------------------------------- lazy flush
