@@ -1,46 +1,44 @@
 // CompactAllocator: the serving allocator's memory-frugal backend for
 // cluster-scale capacity planning (n in the tens of millions).
 //
-// The dense OnlineAllocator (serve/online_allocator.hpp) spends O(1)
-// *structs* per ball: a FlatMap64 BallRec (24-byte entries at <= 3/4 load),
-// an optional router entry, and an 8-byte per-bin list slot — fine at
-// scenario n, fatal at n = 1e7..1e8. This backend exploits two properties
-// the open-system dynamic guarantees when ball weights are all 1:
+// The dense OnlineAllocator (serve/online_allocator.hpp) keeps a hash-map
+// BallRec per ball (24-byte entries at <= 3/4 load) plus an 8-byte live
+// array slot -- fine at scenario n, costly at n = 1e7..1e8. This backend
+// exploits two properties the open-system dynamic guarantees when ball
+// weights are all 1:
 //
 //   - Ball ids are assigned sequentially by the trace generators and never
-//     reused, so the ball index is *implicit*: two flat int32 arrays
-//     (ballBin_, ballSlot_) indexed by ball id replace both hash maps.
-//   - Unit weights make a bin's ball count equal its load, so per-level
-//     occupancy IS the dense load array and no per-ball weight is stored
-//     anywhere.
+//     reused, so the ball index is *implicit*: one flat int32 array, ball
+//     id -> position in the live-ball array, replaces the hash map, and
+//     each live-array entry carries its ball's bin.
+//   - Unit weights make a bin's ball count equal its load, so no per-ball
+//     weight is stored anywhere.
 //
-// Per-bin ball lists — needed only so the repair activation's uniform
-// in-bin pick lands on the byte-identical ball the dense allocator picks —
-// are chunked int32 lists in a pooled arena (kChunkSlots ids + two links
-// per chunk) instead of one std::vector per bin (24-byte headers alone
-// would cost 2.4 GB at n = 1e8). Net: ~12-16 bytes per live ball plus
-// ~20 bytes per bin, versus ~60-100 bytes per ball dense.
+// Repair: the same unit-rate ball clocks as the dense allocator -- a
+// uniformly random entry of the dense live-ball array ({ball, bin} int32
+// pairs, append on arrive, swap-remove on depart), a uniform candidate
+// bin, and the strict rule with w = 1. Net: 4 bytes per bin of loads plus
+// a dirty mark byte, 4 bytes per ball ever arrived (the index is the only
+// structure that grows with every arrival), and 8 bytes per live ball.
 //
-// Balance view: the dirty-bin flush feeds each net change to a
-// sim::BalanceTracker (per-level bin counts), exactly as the dense
-// allocator does, so balanceState() is an O(1) read after an epoch and
-// per-epoch observation never scans the n loads.
+// Balance view: the dirty list carries each changed bin's "before" load,
+// so flush() feeds each net change to a sim::BalanceTracker (per-level bin
+// counts), exactly as the dense allocator does; balanceState() is an O(1)
+// read after an epoch and per-epoch observation never scans the n loads.
 //
 // Equivalence contract (pinned by tests/test_capacity.cpp): driven by
-// serve::EpochLoop over the same trace and seed, this allocator produces
-// byte-identical observable output — loads, gap trajectory, every
-// ServeCounters field, the repair stream — to OnlineAllocator. Both share
-// the decision rule (serve::decideOver) and the flush-fed balance
-// tracker; every other rng draw sequence (the repair ticket/pick/candidate
-// triple) and every ordering decision (per-bin append / swap-remove slots)
-// is replicated exactly, and both pick the repair bin with the same global
-// Fenwick upperBound.
+// serve::EpochLoop over the same unit-weight trace and seed, this
+// allocator produces byte-identical observable output -- loads, gap
+// trajectory, every ServeCounters field, the repair stream -- to
+// OnlineAllocator. Both share the decision rule (serve::decideOver), the
+// flush-fed balance tracker, the repair draw sequence (live position, then
+// candidate bin), and the live-array order (append / swap-remove in trace
+// order).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "ds/fenwick.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "serve/online_allocator.hpp"
@@ -68,20 +66,22 @@ class CompactAllocator {
   void applyBatch(const workload::Event* events, const serve::Decision* decisions,
                   std::size_t count);
 
-  /// Settle deferred Fenwick and balance-tracker deltas (O(dirty bins);
-  /// net-zero bins skipped, exactly the dense deferred-accounting rule).
+  /// Settle deferred balance-tracker deltas (O(dirty bins); net-zero bins
+  /// skipped, exactly the dense deferred-accounting rule).
   void flush();
 
-  /// One RLS repair activation: the exact dense draw sequence (load ticket
-  /// -> Fenwick upperBound bin -> uniform in-bin slot -> uniform candidate
-  /// bin -> strict rule). Returns whether a ball moved.
+  /// One RLS repair activation: the exact dense draw sequence (uniform
+  /// live-array position -> uniform candidate bin -> strict rule). Returns
+  /// whether a ball moved.
   bool repairMove(rng::Xoshiro256pp& eng);
 
   [[nodiscard]] std::int64_t numBins() const {
     return static_cast<std::int64_t>(loads_.size());
   }
-  [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
-  [[nodiscard]] std::int64_t liveBalls() const { return totalLoad_; }  // unit weights
+  [[nodiscard]] std::int64_t liveBalls() const {
+    return static_cast<std::int64_t>(live_.size());
+  }
+  [[nodiscard]] std::int64_t totalLoad() const { return liveBalls(); }  // unit weights
   [[nodiscard]] std::int64_t maxWeightSeen() const { return maxWeightSeen_; }
   [[nodiscard]] const serve::ServeCounters& counters() const { return counters_; }
   [[nodiscard]] const std::vector<std::int32_t>& loads() const { return loads_; }
@@ -106,8 +106,8 @@ class CompactAllocator {
 
   /// Predicted residentBytes for a run shape, used by the serve_capacity
   /// memory-budget gate BEFORE allocating anything: per-bin fixed arrays
-  /// plus the implicit ball index over every ball ever arrived plus arena
-  /// chunks for the expected live population.
+  /// plus the implicit ball index over every ball ever arrived plus the
+  /// live-ball array for the expected live population.
   [[nodiscard]] static std::int64_t estimateBytes(std::int64_t bins,
                                                   std::int64_t ballsEver,
                                                   std::int64_t liveBalls);
@@ -116,47 +116,37 @@ class CompactAllocator {
   [[nodiscard]] bool validate() const;
 
  private:
-  // Chunked per-bin ball lists: fixed-size id blocks linked forward and
-  // backward in one pooled arena. Order within a bin is append order with
-  // swap-remove backfill — the dense per-bin vector's order, exactly.
-  static constexpr std::int32_t kChunkSlots = 8;
-  struct Chunk {
-    std::int32_t slots[kChunkSlots];
-    std::int32_t next = -1;
-    std::int32_t prev = -1;
+  /// One live-array entry: a live ball and the bin it sits in.
+  struct LiveBall {
+    std::int32_t ball = 0;
+    std::int32_t bin = 0;
+  };
+  /// A bin changed since the last flush, with its load before the first
+  /// change.
+  struct DirtyBin {
+    std::int32_t bin = 0;
+    std::int32_t before = 0;
   };
 
-  [[nodiscard]] std::int32_t allocChunk();
-  void freeChunk(std::int32_t index);
-  /// Ball id stored at dense-order slot `slot` of `bin` (O(slot / K)).
-  [[nodiscard]] std::int32_t listAt(std::int32_t bin, std::int32_t slot) const;
-  void listPush(std::int32_t bin, std::int32_t ball);
-  /// Swap-remove at `slot`: overwrite with the last ball (whose ballSlot_
-  /// is patched) and shrink — byte-compatible with the dense eraseBall.
-  void listSwapRemove(std::int32_t bin, std::int32_t slot);
-
-  void markDirty(std::int32_t bin);
+  /// ++ or -- one bin's load, recording the bin as dirty on its first
+  /// change since the last flush.
+  void changeLoad(std::int32_t bin, std::int32_t delta);
   void placeBall(std::int64_t ball, std::int32_t bin);
-  void removeBall(std::int64_t ball, std::int32_t bin, std::int32_t slot);
-  void moveBall(std::int64_t ball, std::int32_t fromBin, std::int32_t toBin);
+  void removeBall(std::int64_t ball);
+  /// The live-array entry of `ball` (asserts the id is in range and live).
+  LiveBall& liveEntry(std::int64_t ball, const char* notLive);
 
   serve::AllocatorOptions options_;
-  std::vector<std::int32_t> loads_;        // live per-bin ball counts
-  std::vector<std::int32_t> flushedLoad_;  // Fenwick view, lags by dirty_
-  ds::Fenwick<std::int64_t> mass_;         // repair bin sampling
-  sim::BalanceTracker tracker_;            // level counts of flushedLoad_
-  std::vector<std::int32_t> dirty_;
+  std::vector<std::int32_t> loads_;  // live per-bin ball counts
+  // The implicit ball index: ball id -> position in live_, -1 = not live.
+  // Grows with the largest ball id ever seen (sequential ids make this an
+  // amortized append).
+  std::vector<std::int32_t> slotOf_;
+  std::vector<LiveBall> live_;  // live balls, any order
+  std::vector<DirtyBin> dirty_;
   std::vector<std::uint8_t> dirtyMark_;
-  std::vector<std::int32_t> binHead_;  // first chunk per bin, -1 = empty
-  std::vector<std::int32_t> binTail_;  // last chunk per bin, -1 = empty
-  std::vector<Chunk> arena_;
-  std::int32_t freeChunk_ = -1;  // freelist head through Chunk::next
-  // The implicit ball index: grows with the largest ball id ever seen
-  // (sequential ids make this an amortized append).
-  std::vector<std::int32_t> ballBin_;   // -1 = not live
-  std::vector<std::int32_t> ballSlot_;  // dense-order slot within the bin
+  sim::BalanceTracker tracker_;  // level counts of the flushed loads
   serve::ServeCounters counters_;
-  std::int64_t totalLoad_ = 0;
   std::int64_t maxWeightSeen_ = 0;
   std::int64_t flushedBins_ = 0;
 };

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -99,11 +100,24 @@ std::unique_ptr<workload::TraceGenerator> buildTrace(ScenarioContext& ctx,
   return std::make_unique<workload::HotspotTrace>(o, seed);
 }
 
+/// Whether `path` can be opened for writing. The probe opens in append
+/// mode, so an existing file keeps its bytes, and a file it created is
+/// removed again.
+bool canWrite(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  if (!std::ofstream(path, std::ios::app | std::ios::binary).is_open()) return false;
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
+}
+
 /// Range checks of the serve_* params: every value the trace generator,
 /// the allocator or the loop would otherwise abort on is rejected with the
-/// "parameter k=v: why" diagnostic. The drivers run it before anything is
-/// written; runServe runs it again before it builds anything.
-void checkServe(const ScenarioContext& ctx, const std::string& kind) {
+/// "parameter k=v: why" diagnostic, file-backed ones included (a replay
+/// file is dry-parsed, output files are probed). The drivers run it before
+/// anything is written; runServe runs it again before it builds anything.
+/// Returns the replay file's event count (0 without trace=).
+std::int64_t checkServe(const ScenarioContext& ctx, const std::string& kind) {
   const ScenarioParams& p = ctx.params;
   const auto positive = [&](const char* name, double dflt) {
     const double v = p.getDouble(name, dflt);
@@ -120,15 +134,33 @@ void checkServe(const ScenarioContext& ctx, const std::string& kind) {
   (void)p.getDoubleIn("mu", 0.125, 0.0);
   (void)p.getDoubleIn("resample", 1.0, 0.0);
   (void)p.getIntIn("weight", 1, 1);
+  std::int64_t replayEvents = 0;
   if (p.has("trace")) {
     const std::string replayPath = p.getString("trace", "");
     if (p.has("record")) {
       util::rejectParam("record", p.getString("record", ""),
                         "cannot be combined with trace= (a replayed trace is already on disk)");
     }
-    if (!std::ifstream(replayPath, std::ios::binary).is_open()) {
-      util::rejectParam("trace", replayPath, "cannot open the replay file");
+    std::ifstream in(replayPath, std::ios::binary);
+    if (!in.is_open()) util::rejectParam("trace", replayPath, "cannot open the replay file");
+    const workload::TraceFormat format = workload::traceFormatFromPath(replayPath);
+    std::string error;
+    replayEvents = workload::scanTraceEvents(in, format, &error);
+    if (replayEvents < 0) {
+      util::rejectParam("trace", replayPath,
+                        std::string("not a ") + workload::traceFormatName(format) +
+                            " trace (" + error + ")");
     }
+    if (replayEvents == 0) util::rejectParam("trace", replayPath, "holds no events");
+  }
+  const std::string recordPath = p.getString("record", "");
+  if (p.has("record") && !canWrite(recordPath)) {
+    util::rejectParam("record", recordPath, "cannot open the file for writing");
+  }
+  // trace_out= is ignored (with a note) when tracing is compiled out.
+  const std::string traceOutPath = p.getString("trace_out", "");
+  if (obs::kTracingCompiledIn && p.has("trace_out") && !canWrite(traceOutPath)) {
+    util::rejectParam("trace_out", traceOutPath, "cannot open the file for writing");
   }
   if (kind == "bursty") {
     (void)p.getDoubleIn("burst_factor", 8.0, 1.0);
@@ -152,10 +184,11 @@ void checkServe(const ScenarioContext& ctx, const std::string& kind) {
       util::rejectParam("spec", spec, error + "; see `rlslb traces`");
     }
   }
+  return replayEvents;
 }
 
 void runServe(ScenarioContext& ctx, const std::string& kind) {
-  checkServe(ctx, kind);
+  const std::int64_t replayEvents = checkServe(ctx, kind);
   const std::int64_t n = ctx.params.getInt("n", ctx.sized(256));
   std::int64_t events = ctx.params.getInt("events", ctx.sized(6'000'000));
   serve::AllocatorOptions allocOptions;
@@ -195,18 +228,13 @@ void runServe(ScenarioContext& ctx, const std::string& kind) {
   std::unique_ptr<workload::TraceGenerator> source;
   if (!replayPath.empty()) {
     // The epoch/checkpoint/warmup math below needs the true trace length,
-    // which for a replay is the file, not the `events` param. The format
-    // (JSONL / CSV / binary) follows the file extension.
-    const workload::TraceFormat replayFormat = workload::traceFormatFromPath(replayPath);
-    {
-      std::ifstream count(replayPath, std::ios::binary);
-      RLSLB_ASSERT_MSG(count.is_open(), "cannot open trace= replay file");
-      events = workload::countTraceEvents(count, replayFormat);
-      RLSLB_ASSERT_MSG(events > 0, "trace= replay file holds no events");
-    }
+    // which for a replay is the file's (counted by checkServe's dry parse),
+    // not the `events` param. The format (JSONL / CSV / binary) follows
+    // the file extension.
+    events = replayEvents;
     replayIn.open(replayPath, std::ios::binary);
     RLSLB_ASSERT_MSG(replayIn.is_open(), "cannot open trace= replay file");
-    source = workload::makeTraceReader(replayIn, replayFormat);
+    source = workload::makeTraceReader(replayIn, workload::traceFormatFromPath(replayPath));
   } else {
     generated = buildTrace(ctx, kind, n, events, traceSeed);
     if (!recordPath.empty()) {
@@ -376,7 +404,7 @@ void registerServe(ScenarioRegistry& r) {
            "online serving: " + what + " trace through the incremental RLS allocator",
            "open-system serving (Ganesh et al. [11]; Section 7 outlook)",
            [kind](ScenarioContext& ctx) { runServe(ctx, kind); }, std::move(params),
-           [kind](const ScenarioContext& ctx) { checkServe(ctx, kind); }});
+           [kind](const ScenarioContext& ctx) { (void)checkServe(ctx, kind); }});
   };
   add("poisson", "constant-rate Poisson arrivals/departures", {});
   add("bursty", "2-state MMPP calm/burst",

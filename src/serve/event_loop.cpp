@@ -51,6 +51,8 @@ void EpochLoop<Allocator>::registerMetrics() {
   ids_.applyNs = m.counter("serve.phase.apply_ns");
   ids_.repairNs = m.counter("serve.phase.repair_ns");
   ids_.flushNs = m.counter("serve.phase.flush_ns");
+  ids_.tracegenNs = m.counter("serve.phase.tracegen_ns");
+  ids_.observeNs = m.counter("serve.phase.observe_ns");
   ids_.gap = m.gauge("serve.gap");
   ids_.liveBalls = m.gauge("serve.live_balls");
   ids_.totalLoad = m.gauge("serve.total_load");
@@ -71,7 +73,6 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
   // Multi-run contract: each run() is self-contained. A reused loop must
   // draw the same decision/repair streams a fresh loop would on the same
   // trace (allocator state, by design, carries over).
-  nextOrdinal_ = 0;
   nextEpoch_ = 0;
   const std::uint64_t decisionSeed = rng::streamSeed(options_.seed, kDecisionStreamSalt);
   const std::uint64_t repairSeed = rng::streamSeed(options_.seed, kRepairStreamSalt);
@@ -101,12 +102,16 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
   batch.reserve(static_cast<std::size_t>(options_.epochEvents));
 
   for (;;) {
+    // Trace generation, outside the epoch timer; timed for the
+    // serve.phase.tracegen_ns counter when metrics are attached.
+    const double tFill0 = metrics != nullptr ? obs::nowUs() : 0.0;
     batch.clear();
     workload::Event event;
     while (static_cast<std::int64_t>(batch.size()) < options_.epochEvents &&
            trace.next(&event)) {
       batch.push_back(event);
     }
+    if (metrics != nullptr) metrics->add(ids_.tracegenNs, spanNs(tFill0, obs::nowUs()));
     if (batch.empty()) break;
 
     // Timing contract: the timer brackets decision + apply + repair
@@ -120,20 +125,16 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     double tRepair1 = 0.0;
     double tFlush1 = 0.0;
     if (instrumented) tEpoch0 = obs::nowUs();
-    const std::int64_t baseOrdinal = nextOrdinal_;
-    nextOrdinal_ += static_cast<std::int64_t>(batch.size());
 
     // The decision phase reads the live load array: every write to it
     // happens in the apply/repair phases, strictly after the decision
     // phase, so the bytes it sees are exactly the epoch-start snapshot.
+    // One stream per epoch, drawn in trace order.
     if (decisions.size() < batch.size()) decisions.resize(batch.size());
-    rng::Xoshiro256pp eng;
+    rng::Xoshiro256pp eng(rng::streamSeed(decisionSeed, static_cast<std::uint64_t>(nextEpoch_)));
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const workload::Event& e = batch[i];
       if (e.kind == workload::EventKind::kDepart) continue;  // no randomness
-      eng.reseed(rng::streamSeed(
-          decisionSeed,
-          static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
       decisions[i] = allocator_->decide(e, eng);
     }
     if (instrumented) tDecide1 = obs::nowUs();
@@ -148,9 +149,9 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     for (int k = 0; k < options_.repairMovesPerEpoch; ++k) allocator_->repairMove(repairEng);
     if (instrumented) tRepair1 = obs::nowUs();
 
-    // Settle any remaining deferred Fenwick deltas inside the
-    // timed region — the flush belongs to the epoch's apply cost, not to
-    // whichever observer happens to read a merged view first.
+    // Settle the deferred balance-tracker deltas inside the timed region:
+    // the flush belongs to the epoch's apply cost, not to whichever
+    // observer happens to read the balance view first.
     allocator_->flush();
     if (instrumented) tFlush1 = obs::nowUs();
 
@@ -240,6 +241,7 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
       stats.wallSeconds = epochWall;
       onEpoch(stats);
     }
+    if (metrics != nullptr) metrics->add(ids_.observeNs, spanNs(tFlush1, obs::nowUs()));
     ++nextEpoch_;
   }
 

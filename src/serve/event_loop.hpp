@@ -8,38 +8,40 @@
 // Events are consumed in fixed-size *epochs* (bulk-synchronous style):
 //
 //   1. Fill a batch of up to epochEvents events from the trace.
-//   2. Decision phase: walk the batch and compute each event's random
-//      placement/candidate decision against the live load array. No load
-//      changes before the apply phase starts, so the bytes read are
-//      exactly the epoch-start snapshot, without an O(bins) copy. Each
-//      event draws from its own rng stream streamSeed(decisionSeed,
-//      eventOrdinal) via one engine reseeded per event (byte-identical to
-//      per-event construction). Departs use no randomness and are skipped.
+//   2. Decision phase: walk the batch in trace order and compute each
+//      event's random placement/candidate decision against the live load
+//      array. No load changes before the apply phase starts, so the bytes
+//      read are exactly the epoch-start snapshot, without an O(bins) copy.
+//      All of the epoch's decisions draw from one engine seeded
+//      streamSeed(decisionSeed, epoch). Departs use no randomness and are
+//      skipped.
 //   3. Apply phase (fused): walk the batch in trace order, re-validating
 //      every decision against live loads and mutating in place -- the
-//      paper's RLS move checked one event at a time. The allocator defers
-//      the O(log n) Fenwick updates per bin, reconciling net deltas once
-//      per epoch; rejected resamples, the steady-state common case, touch
-//      no structure at all.
+//      paper's RLS move checked one event at a time. Rejected resamples,
+//      the steady-state common case, touch no structure at all.
 //   4. Repair: a fixed budget of RLS repair activations on live state heals
 //      whatever imbalance the stale snapshot let through (the
-//      bulk-synchronous analogue of the paper's background RLS clocks). A
-//      final allocator flush -- still inside the epoch timer -- settles any
-//      deferred deltas before observers look. The flush also hands each
-//      net-changed bin to the allocator's sim::BalanceTracker.
+//      bulk-synchronous analogue of the paper's background RLS clocks:
+//      each activation picks a uniformly random live ball). Its engine is
+//      seeded streamSeed(repairSeed, epoch). A final allocator flush --
+//      still inside the epoch timer -- hands each net-changed bin to the
+//      allocator's sim::BalanceTracker before observers look.
 //
 // Observation (outside the timer): balanceState() and residentBytes() are
 // O(1) reads on both allocators, so the per-epoch gap, memory gauges,
 // monitor sample and callback cost O(1) plus the flush's O(changed bins),
-// never O(n).
+// never O(n). With metrics attached, the batch fill is timed as
+// serve.phase.tracegen_ns and the post-flush block (stats, telemetry
+// export, monitor sample, callback) as serve.phase.observe_ns: two clock
+// reads per epoch each, none per event.
 //
-// Determinism: decisions are per-event pure functions of (snapshot,
-// ordinal-derived rng), apply order is the trace order, and the repair
-// stream is keyed by epoch index -- so the final load vector and every
-// semantic counter are a pure function of (trace, seed, epochEvents,
-// repairMovesPerEpoch), identical for every --threads value and for both
-// allocators on unit-weight traces (tests/test_capacity.cpp). Epoch length
-// is a *semantic* knob (it sets snapshot staleness).
+// Determinism: both rng streams are keyed by the epoch index and drawn in
+// trace order, and apply order is the trace order -- so the final load
+// vector and every semantic counter are a pure function of (trace, seed,
+// epochEvents, repairMovesPerEpoch), identical for every --threads value
+// and for both allocators on unit-weight traces (tests/test_capacity.cpp).
+// Epoch length is a *semantic* knob (it sets snapshot staleness and the
+// stream boundaries).
 //
 // Timing contract (pinned by tests/test_serve_differential.cpp for both
 // allocators): EpochStats.wallSeconds covers exactly the epoch's decision
@@ -122,8 +124,7 @@ class EpochLoop {
   };
 
   /// Drain the trace. `onEpoch` (may be empty) fires after each epoch.
-  /// Each run() is self-contained: event ordinals and the epoch index
-  /// reset, so a reused loop draws exactly the streams a freshly
+  /// Each run() is self-contained: the epoch index resets, so a reused loop draws exactly the streams a freshly
   /// constructed loop would on the same trace. Allocator state carries
   /// over between runs by design (it is the long-lived allocation).
   RunResult run(workload::TraceGenerator& trace,
@@ -138,7 +139,7 @@ class EpochLoop {
     obs::CounterId arrivals, departures, resamples, migrations, rejectedMoves;
     obs::CounterId repairAttempts, repairMigrations;
     obs::CounterId flushedBins;
-    obs::CounterId decideNs, applyNs, repairNs, flushNs;
+    obs::CounterId decideNs, applyNs, repairNs, flushNs, tracegenNs, observeNs;
     obs::GaugeId gap, liveBalls, totalLoad;
     obs::GaugeId memStateBytes, memBytesPerBall, memPeakRss;
     obs::HistId epochGap;
@@ -148,8 +149,7 @@ class EpochLoop {
 
   Allocator* allocator_;
   LoopOptions options_;
-  std::int64_t nextOrdinal_ = 0;  // event ordinal (decision streams); reset per run()
-  std::int64_t nextEpoch_ = 0;    // repair-stream key; reset per run()
+  std::int64_t nextEpoch_ = 0;  // decision- and repair-stream key; reset per run()
   MetricIds ids_;
   bool metricsRegistered_ = false;
 };

@@ -8,9 +8,6 @@ namespace rlslb::serve {
 OnlineAllocator::OnlineAllocator(const AllocatorOptions& options)
     : options_(options),
       loads_(static_cast<std::size_t>(options.bins), 0),
-      binLoad_(static_cast<std::size_t>(options.bins), 0),
-      mass_(static_cast<std::size_t>(options.bins)),
-      binBalls_(static_cast<std::size_t>(options.bins)),
       dirtyMark_(static_cast<std::size_t>(options.bins), 0),
       tracker_(options.bins) {
   RLSLB_ASSERT_MSG(options_.bins >= 1, "AllocatorOptions.bins must be >= 1");
@@ -49,9 +46,8 @@ void OnlineAllocator::applyBatch(const workload::Event* events, const Decision* 
         RLSLB_ASSERT_MSG(it != nullptr, "depart event for a ball that is not live");
         const BallRec rec = *it;
         balls_.erase(it);
-        eraseBall(event.ball, rec);
+        eraseLive(rec);
         changeLoad(rec.bin, -rec.weight);
-        --liveBalls_;
         break;
       }
       case workload::EventKind::kResample: {
@@ -69,7 +65,7 @@ void OnlineAllocator::applyBatch(const workload::Event* events, const Decision* 
                             loads_[static_cast<std::size_t>(src)]) !=
                            options_.invertAcceptance)) {
           ++migrations;
-          moveBall(event.ball, it, dst);
+          moveBall(it, dst);
         } else {
           ++rejected;
         }
@@ -86,66 +82,47 @@ void OnlineAllocator::applyBatch(const workload::Event* events, const Decision* 
 }
 
 bool OnlineAllocator::repairMove(rng::Xoshiro256pp& eng) {
-  const std::int64_t total = totalLoad_;
-  if (total == 0) return false;
-  // The weighted walk below reads the Fenwick tree, so any deferred deltas
-  // must land first. After one repair's own move, the next call's flush
-  // touches at most two bins.
-  flush();
+  if (live_.empty()) return false;
   ++counters_.repairAttempts;
-  // Load-weighted bin pick, then a uniform ball within the bin: with unit
-  // weights this composes to a uniform pick over live balls (the RLS
-  // activation); with weights it biases toward heavy bins, which is the
-  // direction a repair pass wants anyway.
-  const auto ticket = static_cast<std::int64_t>(
-      rng::uniformIndex(eng, static_cast<std::uint64_t>(total)));
-  const auto src = static_cast<std::int32_t>(mass_.upperBound(ticket));
-  auto& srcBalls = binBalls_[static_cast<std::size_t>(src)];
-  RLSLB_ASSERT(!srcBalls.empty());
-  const auto pick = static_cast<std::size_t>(
-      rng::uniformIndex(eng, static_cast<std::uint64_t>(srcBalls.size())));
-  const std::int64_t ball = srcBalls[pick];
+  // Unit-rate ball clocks: activate a uniformly random live ball.
+  const std::int64_t ball = live_[static_cast<std::size_t>(
+      rng::uniformIndex(eng, static_cast<std::uint64_t>(live_.size())))];
   const auto dst = static_cast<std::int32_t>(
       rng::uniformIndex(eng, static_cast<std::uint64_t>(loads_.size())));
   BallRec* it = balls_.find(ball);
   RLSLB_ASSERT(it != nullptr);
+  const std::int32_t src = it->bin;
   if (dst == src || ((loads_[static_cast<std::size_t>(dst)] + it->weight <
                       loads_[static_cast<std::size_t>(src)]) ==
                      options_.invertAcceptance)) {
     return false;
   }
   ++counters_.repairMigrations;
-  moveBall(ball, it, dst);
+  moveBall(it, dst);
   return true;
 }
 
 void OnlineAllocator::changeLoad(std::int32_t bin, std::int64_t delta) {
   const auto g = static_cast<std::size_t>(bin);
-  const std::int64_t after = loads_[g] + delta;
+  const std::int64_t before = loads_[g];
+  const std::int64_t after = before + delta;
   RLSLB_ASSERT(after >= 0);
   loads_[g] = after;
   totalLoad_ += delta;
-  markDirty(bin);
-}
-
-void OnlineAllocator::markDirty(std::int32_t bin) {
-  std::uint8_t& mark = dirtyMark_[static_cast<std::size_t>(bin)];
+  std::uint8_t& mark = dirtyMark_[g];
   if (mark == 0) {
     mark = 1;
-    dirty_.push_back(bin);
+    dirty_.push_back(DirtyBin{bin, before});
   }
 }
 
 void OnlineAllocator::flush() {
-  for (const std::int32_t bin : dirty_) {
-    const auto b = static_cast<std::size_t>(bin);
+  for (const DirtyBin& d : dirty_) {
+    const auto b = static_cast<std::size_t>(d.bin);
     const std::int64_t after = loads_[b];
-    const std::int64_t before = binLoad_[b];
     dirtyMark_[b] = 0;
-    if (after == before) continue;  // net-zero over the batch: nothing to do
-    binLoad_[b] = after;
-    mass_.add(b, after - before);
-    tracker_.onLoadChange(before, after);
+    if (after == d.before) continue;  // net-zero over the batch: nothing to do
+    tracker_.onLoadChange(d.before, after);
     ++flushedBins_;
   }
   dirty_.clear();
@@ -154,58 +131,34 @@ void OnlineAllocator::flush() {
 void OnlineAllocator::placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin) {
   RLSLB_ASSERT(weight >= 1);
   if (weight > maxWeightSeen_) maxWeightSeen_ = weight;
-  auto& slot = binBalls_[static_cast<std::size_t>(bin)];
   const auto [it, inserted] =
-      balls_.emplace(ball, BallRec{bin, weight, static_cast<std::int32_t>(slot.size())});
+      balls_.emplace(ball, BallRec{bin, static_cast<std::int32_t>(live_.size()), weight});
   RLSLB_ASSERT_MSG(inserted, "arrive event for a ball id that is already live");
   (void)it;
-  pushBall(slot, ball);
+  live_.push_back(ball);
   changeLoad(bin, weight);
-  ++liveBalls_;
 }
 
-void OnlineAllocator::eraseBall(std::int64_t ball, const BallRec& rec) {
-  auto& slot = binBalls_[static_cast<std::size_t>(rec.bin)];
-  RLSLB_ASSERT(slot[static_cast<std::size_t>(rec.slot)] == ball);
-  const std::int64_t moved = slot.back();
-  slot[static_cast<std::size_t>(rec.slot)] = moved;
-  slot.pop_back();
-  if (moved != ball) balls_.at(moved).slot = rec.slot;
+void OnlineAllocator::eraseLive(const BallRec& rec) {
+  const std::int64_t moved = live_.back();
+  live_[static_cast<std::size_t>(rec.slot)] = moved;
+  live_.pop_back();
+  if (static_cast<std::size_t>(rec.slot) < live_.size()) balls_.at(moved).slot = rec.slot;
 }
 
-void OnlineAllocator::pushBall(std::vector<std::int64_t>& slot, std::int64_t ball) {
-  const std::size_t before = slot.capacity();
-  slot.push_back(ball);
-  if (slot.capacity() != before) {
-    binListBytes_ +=
-        static_cast<std::int64_t>((slot.capacity() - before) * sizeof(std::int64_t));
-  }
-}
-
-void OnlineAllocator::moveBall(std::int64_t ball, BallRec* rec, std::int32_t toBin) {
-  const BallRec old = *rec;
-  eraseBall(ball, old);
-  auto& dstSlot = binBalls_[static_cast<std::size_t>(toBin)];
-  *rec = BallRec{toBin, old.weight, static_cast<std::int32_t>(dstSlot.size())};
-  pushBall(dstSlot, ball);
-  changeLoad(old.bin, -old.weight);
-  changeLoad(toBin, old.weight);
+void OnlineAllocator::moveBall(BallRec* rec, std::int32_t toBin) {
+  const std::int32_t fromBin = rec->bin;
+  rec->bin = toBin;
+  changeLoad(fromBin, -rec->weight);
+  changeLoad(toBin, rec->weight);
 }
 
 std::int64_t OnlineAllocator::residentBytes() const {
   auto vecBytes = [](const auto& v) {
     return static_cast<std::int64_t>(v.capacity() * sizeof(v[0]));
   };
-  std::int64_t bytes = vecBytes(loads_) + vecBytes(dirtyMark_);
-  bytes += vecBytes(binLoad_) + vecBytes(dirty_);
-  // Fenwick: n + 1 nodes of the element type.
-  bytes += static_cast<std::int64_t>((mass_.size() + 1) * sizeof(std::int64_t));
-  bytes += static_cast<std::int64_t>(binBalls_.capacity() *
-                                     sizeof(std::vector<std::int64_t>));
-  bytes += binListBytes_;
-  bytes += static_cast<std::int64_t>(balls_.heapBytes());
-  bytes += tracker_.heapBytes();
-  return bytes;
+  return vecBytes(loads_) + vecBytes(live_) + vecBytes(dirty_) + vecBytes(dirtyMark_) +
+         static_cast<std::int64_t>(balls_.heapBytes()) + tracker_.heapBytes();
 }
 
 sim::BalanceState OnlineAllocator::balanceState() const {
@@ -217,24 +170,22 @@ sim::BalanceState OnlineAllocator::balanceState() const {
 
 bool OnlineAllocator::validate() const {
   const_cast<OnlineAllocator*>(this)->flush();
-  std::int64_t total = 0;
-  for (std::size_t bin = 0; bin < binBalls_.size(); ++bin) {
-    std::int64_t binLoad = 0;
-    for (std::size_t i = 0; i < binBalls_[bin].size(); ++i) {
-      const BallRec* it = balls_.find(binBalls_[bin][i]);
-      if (it == nullptr) return false;
-      if (it->bin != static_cast<std::int32_t>(bin)) return false;
-      if (it->slot != static_cast<std::int32_t>(i)) return false;
-      binLoad += it->weight;
-    }
-    if (binLoad != binLoad_[bin]) return false;
-    if (binLoad != loads_[bin]) return false;
-    if (mass_.get(bin) != binLoad) return false;
-    total += binLoad;
+  if (balls_.size() != live_.size()) return false;
+  std::vector<std::int64_t> binLoad(loads_.size(), 0);
+  for (std::size_t i = 0; i < live_.size(); ++i) {
+    const BallRec* it = balls_.find(live_[i]);
+    if (it == nullptr) return false;
+    if (it->slot != static_cast<std::int32_t>(i)) return false;
+    if (it->bin < 0 || it->bin >= static_cast<std::int32_t>(loads_.size())) return false;
+    binLoad[static_cast<std::size_t>(it->bin)] += it->weight;
   }
-  if (mass_.total() != total) return false;
+  if (binLoad != loads_) return false;
+  std::int64_t total = 0;
+  for (const std::int64_t load : loads_) total += load;
   if (total != totalLoad_) return false;
-  if (static_cast<std::int64_t>(balls_.size()) != liveBalls_) return false;
+  for (const std::uint8_t mark : dirtyMark_) {
+    if (mark != 0) return false;  // flushed above: nothing may stay dirty
+  }
   return true;
 }
 

@@ -16,26 +16,30 @@
 //             are the expensive operation in a serving system).
 //
 // State layout: the flat per-bin load array `loads_` is the live truth;
-// a Fenwick mass tree over bins (the load-weighted repair sample), per-bin
-// ball lists, and one ball map (ball -> bin, weight, slot) complete the
-// allocation. apply()/applyBatch() walk events in trace order, checking
-// every resample against live loads -- exactly the paper's one-move-at-a-
-// time RLS check.
+// one ball map (ball -> bin, weight, position) and one dense array of live
+// ball ids complete the allocation. apply()/applyBatch() walk events in
+// trace order, checking every resample against live loads -- exactly the
+// paper's one-move-at-a-time RLS check.
+//
+// Unit-rate ball clocks: in the paper's process every ball carries a
+// rate-1 exponential clock, so an RLS activation picks a uniformly random
+// ball, whatever its weight (the Section-7 model, ext::WeightedRlsEngine,
+// and the open system of Ganesh et al. [11], dynamic::OpenSystem, alike).
+// repairMove() does exactly that: live_[uniform] from the live-ball array
+// (append on arrive, swap-remove on depart with the moved ball's position
+// patched), then a uniform candidate bin and the strict rule.
 //
 // Deferred accounting (the serving hot-path batching): every load change
-// updates only `loads_` (plus totalLoad_ and the eager ball slots) and
-// marks the bin dirty. The O(log n) Fenwick update is *deferred* to
-// flush(), which reconciles each dirty bin ONCE per epoch from its net
-// delta (loads_[bin] - binLoad_[bin]) and skips net-zero bins entirely.
-// Rejected resamples -- the steady-state common case -- never touch a
-// structure at all. Fenwick node values depend only on final per-bin
-// loads, so the flushed state is byte-identical to eager per-event
-// updates. The same flush hands each net change to a sim::BalanceTracker
-// (the paper's Section-3 lumped state: #bins per load level), so min, max
-// and the overloaded-ball count are O(1) reads after an epoch and the
-// per-epoch observation costs O(changed bins), never O(n). repairMove()
-// and validate() flush at entry; balanceState() settles pending deltas
-// first, so it is exact after raw apply() calls too.
+// updates only `loads_` (plus totalLoad_) and, the first time a bin changes
+// in an epoch, records the bin with its load *before* the change in the
+// dirty list. flush() hands each dirty bin's net (before, after) change to
+// a sim::BalanceTracker (the paper's Section-3 lumped state: #bins per
+// load level) and skips net-zero bins, so min, max and the overloaded-ball
+// count are O(1) reads after an epoch and the per-epoch observation costs
+// O(changed bins), never O(n). Rejected resamples -- the steady-state
+// common case -- never touch a structure at all. balanceState() and
+// validate() settle pending deltas first, so they are exact after raw
+// apply() calls too.
 //
 // This header also holds what both serving allocators share -- this one
 // and the compact capacity::CompactAllocator: the options, the Decision
@@ -46,7 +50,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ds/fenwick.hpp"
 #include "ds/flat_map.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256pp.hpp"
@@ -140,17 +143,16 @@ class OnlineAllocator {
   void applyBatch(const workload::Event* events, const Decision* decisions,
                   std::size_t count);
 
-  /// Reconcile every deferred load delta into the Fenwick tree, the
-  /// binLoad_ view and the balance tracker (O(dirty bins); a no-op when
-  /// clean). The event loop
-  /// calls this inside its timed region so the flush cost lands in the
-  /// epoch it belongs to, never in an observer.
+  /// Hand every dirty bin's net load change to the balance tracker
+  /// (O(dirty bins); a no-op when clean). The event loop calls this inside
+  /// its timed region so the flush cost lands in the epoch it belongs to,
+  /// never in an observer.
   void flush();
 
-  /// One RLS repair activation on live state: a load-weighted bin pick
-  /// (with unit weights this is exactly "activate a uniform ball"), a
-  /// uniform candidate bin, and the strict migration rule. Returns whether
-  /// a ball moved. Used by the event loop's per-epoch repair budget.
+  /// One RLS repair activation on live state: a uniformly random live
+  /// ball, a uniform candidate bin, and the strict migration rule. Returns
+  /// whether a ball moved. O(1); used by the event loop's per-epoch repair
+  /// budget.
   bool repairMove(rng::Xoshiro256pp& eng);
 
   [[nodiscard]] std::int64_t numBins() const {
@@ -158,7 +160,9 @@ class OnlineAllocator {
   }
   [[nodiscard]] const std::vector<std::int64_t>& loads() const { return loads_; }
   [[nodiscard]] std::int64_t totalLoad() const { return totalLoad_; }
-  [[nodiscard]] std::int64_t liveBalls() const { return liveBalls_; }
+  [[nodiscard]] std::int64_t liveBalls() const {
+    return static_cast<std::int64_t>(live_.size());
+  }
   /// The live state as the closed-system balance view (sim::BalanceState,
   /// the same vocabulary process::Process::state() speaks), in weight
   /// units: the tracker's state, O(1) once flushed. Pending deltas from
@@ -180,60 +184,51 @@ class OnlineAllocator {
   [[nodiscard]] std::int64_t flushedBins() const { return flushedBins_; }
 
   /// Heap bytes currently held by the allocator's state structures
-  /// (capacity-based: load arrays, Fenwick tree, per-bin ball lists, ball
-  /// map, balance tracker). O(1): the per-bin lists' bytes are a running
-  /// count, updated whenever a list's capacity changes. Sampled by the
-  /// event loop at epoch boundaries for the serve.mem.* gauges — a
-  /// capacity-planning observation, never part of the deterministic
-  /// "table" records (vector growth policy is stdlib-dependent).
+  /// (capacity-based: load array, live-ball array, ball map, dirty list,
+  /// balance tracker). O(1). Sampled by the event loop at epoch boundaries
+  /// for the serve.mem.* gauges -- a capacity-planning observation, never
+  /// part of the deterministic "table" records (vector growth policy is
+  /// stdlib-dependent).
   [[nodiscard]] std::int64_t residentBytes() const;
-  /// The per-bin ball lists' share of residentBytes() (the running count).
-  [[nodiscard]] std::int64_t binListBytes() const { return binListBytes_; }
-  /// Ball ids in `bin`, in slot order (the repair pick indexes this list).
-  [[nodiscard]] const std::vector<std::int64_t>& binBalls(std::int32_t bin) const {
-    return binBalls_[static_cast<std::size_t>(bin)];
-  }
 
-  /// Internal-consistency scan of the load array, Fenwick tree, per-bin
-  /// ball lists and ball map (O(n + m); tests only).
+  /// Internal-consistency scan of the load array, live-ball array, ball
+  /// map and dirty list (O(n + m); tests only).
   [[nodiscard]] bool validate() const;
 
  private:
   struct BallRec {
     std::int32_t bin = 0;
+    std::int32_t slot = 0;  // position in live_
     std::int64_t weight = 0;
-    std::int32_t slot = 0;  // index in binBalls_[bin]
+  };
+  /// A bin changed since the last flush, with its load before the first
+  /// change.
+  struct DirtyBin {
+    std::int32_t bin = 0;
+    std::int64_t before = 0;
   };
 
-  // Update loads_/slots, defer the Fenwick work to flush().
+  // Update loads_ and totalLoad_; the tracker work waits for flush().
   void changeLoad(std::int32_t bin, std::int64_t delta);
   void placeBall(std::int64_t ball, std::int64_t weight, std::int32_t bin);
-  void moveBall(std::int64_t ball, BallRec* rec, std::int32_t toBin);
-  void eraseBall(std::int64_t ball, const BallRec& rec);
-  /// Append to a per-bin list, keeping binListBytes_ current.
-  void pushBall(std::vector<std::int64_t>& slot, std::int64_t ball);
-  /// O(1) amortized: the mark byte dedups dirty-list entries.
-  void markDirty(std::int32_t bin);
+  void moveBall(BallRec* rec, std::int32_t toBin);
+  /// Swap-remove from live_, patching the moved ball's slot.
+  void eraseLive(const BallRec& rec);
 
   AllocatorOptions options_;
-  std::vector<std::int64_t> loads_;    // live bin loads
-  // `binLoad_`, `mass_` and `tracker_` lag `loads_` by the bins listed in
-  // `dirty_` until the next flush() (see the deferred-accounting note at
-  // the top).
-  std::vector<std::int64_t> binLoad_;  // flushed view of loads_
-  ds::Fenwick<std::int64_t> mass_{1};
-  std::vector<std::vector<std::int64_t>> binBalls_;  // ball ids per bin
+  std::vector<std::int64_t> loads_;     // live bin loads
+  std::vector<std::int64_t> live_;      // live ball ids, any order
   ds::FlatMap64<BallRec> balls_;
-  std::vector<std::int32_t> dirty_;     // bins with deferred deltas
+  // `tracker_` lags `loads_` by the bins listed in `dirty_` until the next
+  // flush() (see the deferred-accounting note at the top).
+  std::vector<DirtyBin> dirty_;
   std::vector<std::uint8_t> dirtyMark_; // one byte per bin: set iff in dirty_
   std::int64_t flushedBins_ = 0;
   ServeCounters counters_;
   std::int64_t totalLoad_ = 0;
-  std::int64_t liveBalls_ = 0;
   std::int64_t maxWeightSeen_ = 0;
   // Read once per epoch, not per event: kept after the hot-loop fields.
-  sim::BalanceTracker tracker_;    // level counts of binLoad_
-  std::int64_t binListBytes_ = 0;  // sum of binBalls_[b].capacity() * 8
+  sim::BalanceTracker tracker_;  // level counts of the flushed loads
 };
 
 }  // namespace rlslb::serve

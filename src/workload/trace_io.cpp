@@ -58,6 +58,14 @@ bool parseTraceEvent(const std::string& line, Event* out, std::string* error) {
     if (error != nullptr) *error = "trace event missing one of t/kind/ball/w: " + line;
     return false;
   }
+  using Kind = report::Json::Kind;
+  if ((t->kind() != Kind::Int && t->kind() != Kind::Double) ||
+      kind->kind() != Kind::String || ball->kind() != Kind::Int || w->kind() != Kind::Int) {
+    if (error != nullptr) {
+      *error = "trace event needs numeric t, string kind, integer ball and w: " + line;
+    }
+    return false;
+  }
   EventKind kindValue{};
   if (!kindFromName(kind->asString(), &kindValue)) {
     if (error != nullptr) *error = "unknown trace event kind: " + kind->asString();
@@ -183,58 +191,78 @@ bool RecordingTrace::next(Event* out) {
   return true;
 }
 
-bool JsonlTraceReader::next(Event* out) {
+namespace {
+/// next() on top of read(): a malformed stream aborts with its diagnostic.
+bool nextOrAbort(TraceReadStatus status, const std::string& error) {
+  if (status == TraceReadStatus::kMalformed) {
+    std::fprintf(stderr, "trace replay: %s\n", error.c_str());
+  }
+  RLSLB_ASSERT_MSG(status != TraceReadStatus::kMalformed,
+                   "malformed trace; a corrupt trace must not truncate silently");
+  return status == TraceReadStatus::kEvent;
+}
+}  // namespace
+
+TraceReadStatus JsonlTraceReader::read(Event* out, std::string* error) {
   std::string line;
   while (std::getline(*in_, line)) {
     if (line.empty()) continue;
-    std::string error;
-    const bool ok = parseTraceEvent(line, out, &error);
-    if (!ok) std::fprintf(stderr, "trace replay: %s\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "malformed trace line; a corrupt trace must not truncate silently");
-    return true;
+    return parseTraceEvent(line, out, error) ? TraceReadStatus::kEvent
+                                             : TraceReadStatus::kMalformed;
   }
-  return false;
+  return TraceReadStatus::kEnd;
 }
 
-bool CsvTraceReader::next(Event* out) {
+bool JsonlTraceReader::next(Event* out) {
+  std::string error;
+  return nextOrAbort(read(out, &error), error);
+}
+
+TraceReadStatus CsvTraceReader::read(Event* out, std::string* error) {
   std::string line;
   while (std::getline(*in_, line)) {
     if (!headerChecked_) {
       headerChecked_ = true;
       if (line == kTraceCsvHeader) continue;
-      std::fprintf(stderr, "trace replay: missing CSV header '%s'\n", kTraceCsvHeader);
-      RLSLB_ASSERT_MSG(false, "CSV trace must start with the t,kind,ball,w header");
+      *error = std::string("missing CSV header '") + kTraceCsvHeader + "'";
+      return TraceReadStatus::kMalformed;
     }
     if (line.empty()) continue;
-    std::string error;
-    const bool ok = parseTraceEventCsv(line, out, &error);
-    if (!ok) std::fprintf(stderr, "trace replay: %s\n", error.c_str());
-    RLSLB_ASSERT_MSG(ok, "malformed CSV trace row; a corrupt trace must not truncate silently");
-    return true;
+    return parseTraceEventCsv(line, out, error) ? TraceReadStatus::kEvent
+                                                : TraceReadStatus::kMalformed;
   }
-  return false;
+  return TraceReadStatus::kEnd;
 }
 
-bool BinaryTraceReader::next(Event* out) {
+bool CsvTraceReader::next(Event* out) {
+  std::string error;
+  return nextOrAbort(read(out, &error), error);
+}
+
+TraceReadStatus BinaryTraceReader::read(Event* out, std::string* error) {
   if (!magicChecked_) {
     magicChecked_ = true;
     char magic[4] = {};
     in_->read(magic, 4);
-    const bool ok = in_->gcount() == 4 && std::string(magic, 4) == kTraceBinaryMagic;
-    if (!ok) std::fprintf(stderr, "trace replay: missing RLT1 binary magic\n");
-    RLSLB_ASSERT_MSG(ok, "binary trace must start with the RLT1 magic");
+    if (in_->gcount() != 4 || std::string(magic, 4) != kTraceBinaryMagic) {
+      *error = "missing RLT1 binary magic";
+      return TraceReadStatus::kMalformed;
+    }
   }
   unsigned char record[kTraceBinaryRecordBytes];
   in_->read(reinterpret_cast<char*>(record), kTraceBinaryRecordBytes);
-  if (in_->gcount() == 0) return false;
-  const bool whole = in_->gcount() == static_cast<std::streamsize>(kTraceBinaryRecordBytes);
-  if (!whole) std::fprintf(stderr, "trace replay: truncated binary record\n");
-  RLSLB_ASSERT_MSG(whole, "truncated binary trace record");
+  if (in_->gcount() == 0) return TraceReadStatus::kEnd;
+  if (in_->gcount() != static_cast<std::streamsize>(kTraceBinaryRecordBytes)) {
+    *error = "truncated binary record";
+    return TraceReadStatus::kMalformed;
+  }
+  return decodeTraceEventBinary(record, out, error) ? TraceReadStatus::kEvent
+                                                    : TraceReadStatus::kMalformed;
+}
+
+bool BinaryTraceReader::next(Event* out) {
   std::string error;
-  const bool ok = decodeTraceEventBinary(record, out, &error);
-  if (!ok) std::fprintf(stderr, "trace replay: %s\n", error.c_str());
-  RLSLB_ASSERT_MSG(ok, "malformed binary trace record");
-  return true;
+  return nextOrAbort(read(out, &error), error);
 }
 
 std::unique_ptr<TraceGenerator> makeTraceReader(std::istream& in, TraceFormat format) {
@@ -247,12 +275,32 @@ std::unique_ptr<TraceGenerator> makeTraceReader(std::istream& in, TraceFormat fo
   return nullptr;
 }
 
-std::int64_t countTraceEvents(std::istream& in, TraceFormat format) {
-  const std::unique_ptr<TraceGenerator> reader = makeTraceReader(in, format);
+namespace {
+template <class Reader>
+std::int64_t scanWith(std::istream& in, std::string* error) {
+  Reader reader(in);
   Event event;
   std::int64_t count = 0;
-  while (reader->next(&event)) ++count;
-  return count;
+  for (;;) {
+    switch (reader.read(&event, error)) {
+      case TraceReadStatus::kEvent: ++count; break;
+      case TraceReadStatus::kEnd: return count;
+      case TraceReadStatus::kMalformed:
+        *error = "event " + std::to_string(count + 1) + ": " + *error;
+        return -1;
+    }
+  }
+}
+}  // namespace
+
+std::int64_t scanTraceEvents(std::istream& in, TraceFormat format, std::string* error) {
+  switch (format) {
+    case TraceFormat::kJsonl: return scanWith<JsonlTraceReader>(in, error);
+    case TraceFormat::kCsv: return scanWith<CsvTraceReader>(in, error);
+    case TraceFormat::kBinary: return scanWith<BinaryTraceReader>(in, error);
+  }
+  RLSLB_ASSERT_MSG(false, "unknown TraceFormat");
+  return -1;
 }
 
 }  // namespace rlslb::workload

@@ -63,6 +63,10 @@ void appendTraceEventBinary(std::string* out, const Event& event);
 [[nodiscard]] bool decodeTraceEventBinary(const unsigned char* bytes, Event* out,
                                           std::string* error = nullptr);
 
+/// One step of a replay reader: an event, the clean end of the stream, or
+/// a malformed line/record (with a message).
+enum class TraceReadStatus : std::uint8_t { kEvent, kEnd, kMalformed };
+
 /// Pass-through generator that appends every emitted event to `out` in the
 /// chosen format. Writes the format prologue (CSV header / binary magic) at
 /// construction; binary streams must be opened in binary mode by the
@@ -87,6 +91,8 @@ class JsonlTraceReader final : public TraceGenerator {
  public:
   explicit JsonlTraceReader(std::istream& in) : in_(&in) {}
 
+  /// next() that reports corruption instead of aborting.
+  TraceReadStatus read(Event* out, std::string* error);
   bool next(Event* out) override;
   [[nodiscard]] std::string name() const override { return "replay"; }
 
@@ -100,6 +106,8 @@ class CsvTraceReader final : public TraceGenerator {
  public:
   explicit CsvTraceReader(std::istream& in) : in_(&in) {}
 
+  /// next() that reports corruption instead of aborting.
+  TraceReadStatus read(Event* out, std::string* error);
   bool next(Event* out) override;
   [[nodiscard]] std::string name() const override { return "replay"; }
 
@@ -114,6 +122,8 @@ class BinaryTraceReader final : public TraceGenerator {
  public:
   explicit BinaryTraceReader(std::istream& in) : in_(&in) {}
 
+  /// next() that reports corruption instead of aborting.
+  TraceReadStatus read(Event* out, std::string* error);
   bool next(Event* out) override;
   [[nodiscard]] std::string name() const override { return "replay"; }
 
@@ -127,8 +137,13 @@ class BinaryTraceReader final : public TraceGenerator {
 [[nodiscard]] std::unique_ptr<TraceGenerator> makeTraceReader(std::istream& in,
                                                               TraceFormat format);
 
-/// Count the events in a trace stream by draining a replay reader (resets
-/// nothing; pass a fresh stream). Used by replay scenarios to size epochs.
-[[nodiscard]] std::int64_t countTraceEvents(std::istream& in, TraceFormat format);
+/// The dry parse: count the events in a trace stream by draining a replay
+/// reader that reports corruption instead of aborting (resets nothing;
+/// pass a fresh stream). Returns the event count, or -1 with `error`
+/// naming the first malformed event. Checks the format only (ball-id
+/// semantics are the allocator's). Replay scenarios use it to size epochs
+/// and to reject a corrupt trace before they write any output.
+[[nodiscard]] std::int64_t scanTraceEvents(std::istream& in, TraceFormat format,
+                                           std::string* error);
 
 }  // namespace rlslb::workload

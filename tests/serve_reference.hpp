@@ -1,21 +1,43 @@
 // Frozen serving loop: the differential reference for
-// tests/test_serve_differential.cpp.
+// tests/test_serve_differential.cpp and the statistical baseline of
+// tests/test_serve_distribution.cpp.
 //
 // This is a verbatim test-only copy (PR 5 style) of serve::OnlineAllocator
 // and serve::ShardedEventLoop as they stood BEFORE the partitioned apply
 // landed: a parallel decision phase against the epoch-start snapshot, then
 // a single-threaded apply pass in trace order that re-validates the strict
 // local-search rule against live loads, then the per-epoch repair budget.
-// The production loop's contract is byte-identity with THIS code — final
-// load vector, every semantic counter, and the per-epoch gap trajectory —
-// for every (shards, threads, epochEvents, trace, seed) combination, so do
-// not "fix" or modernize it; it only changes if the serving semantics are
-// deliberately re-specified.
+// Do not "fix" or modernize it; it only changes if the serving semantics
+// are deliberately re-specified.
 //
-// The decision phase is shared with production on purpose: decisions are
-// pure per-event functions of (snapshot, ordinal rng stream) computed by
-// serve::decideOver, so freezing a second copy of decide() would
-// only hide a regression in it from this differential.
+// It holds two explicitly named semantics (reference::Semantics), chosen
+// when the allocator is constructed:
+//   kLoadWeightedRepair  the original, frozen code path: the repair pick
+//                        walks a load ticket through the Fenwick tree and
+//                        takes a uniform slot in that bin's ball list, and
+//                        every event draws its decision from its own
+//                        stream streamSeed(decisionSeed, ordinal). Kept
+//                        unchanged as the statistical baseline.
+//   kUniformBallClocks   the re-specification production follows: every
+//                        live ball carries a unit-rate clock, so a repair
+//                        activates live[uniform] from a dense live-ball
+//                        array (append on arrive, swap-remove on depart),
+//                        and the decision phase draws from one stream per
+//                        epoch, streamSeed(decisionSeed, epoch), in trace
+//                        order. The production loop's contract is
+//                        byte-identity with THIS mode -- final load vector,
+//                        every semantic counter, and the per-epoch gap
+//                        trajectory.
+// With unit weights both modes activate a uniformly random live ball, so
+// their gap and repair-accept distributions agree in law; the KS tests in
+// tests/test_serve_distribution.cpp pin that. The new mode's bookkeeping is
+// added beside the frozen code (trackLiveBall, uniformRepairMove, the
+// per-epoch decision loop) rather than edited into it.
+//
+// The decision rule is shared with production on purpose: decisions are
+// pure functions of (snapshot, rng stream) computed by serve::decideOver,
+// so freezing a second copy of decide() would only hide a regression in it
+// from this differential.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +60,22 @@
 
 namespace rlslb::serve::reference {
 
+/// The serving semantics a reference allocator and its loop reproduce (see
+/// the header comment).
+enum class Semantics {
+  kLoadWeightedRepair,
+  kUniformBallClocks,
+};
+
 /// Frozen copy of the pre-partitioning OnlineAllocator (single global
 /// Fenwick + level histogram + ball map, sequential apply only). Reuses
 /// the production serve::Decision / serve::ServeCounters / decideOver() so the
 /// differential compares apply semantics, not decision streams.
 class ReferenceAllocator {
  public:
-  explicit ReferenceAllocator(const AllocatorOptions& options)
-      : options_(options),
+  ReferenceAllocator(const AllocatorOptions& options, Semantics semantics)
+      : semantics_(semantics),
+        options_(options),
         loads_(static_cast<std::size_t>(options.bins), 0),
         mass_(static_cast<std::size_t>(options.bins)),
         binBalls_(static_cast<std::size_t>(options.bins)) {
@@ -60,7 +90,10 @@ class ReferenceAllocator {
     return decideOver(snapshotLoads, options_.arrivalChoices, event, eng);
   }
 
+  [[nodiscard]] Semantics semantics() const { return semantics_; }
+
   void apply(const workload::Event& event, const Decision& decision) {
+    if (semantics_ == Semantics::kUniformBallClocks) trackLiveBall(event);
     ++counters_.events;
     switch (event.kind) {
       case workload::EventKind::kArrive: {
@@ -100,6 +133,7 @@ class ReferenceAllocator {
   }
 
   bool repairMove(rng::Xoshiro256pp& eng) {
+    if (semantics_ == Semantics::kUniformBallClocks) return uniformRepairMove(eng);
     const std::int64_t total = mass_.total();
     if (total == 0) return false;
     ++counters_.repairAttempts;
@@ -198,6 +232,49 @@ class ReferenceAllocator {
     changeLoad(toBin, old.weight);
   }
 
+  // ---- kUniformBallClocks additions (unused by the frozen mode).
+
+  /// Keeps the dense live-ball array current: append on arrive,
+  /// swap-remove on depart (the moved ball's position is patched).
+  void trackLiveBall(const workload::Event& event) {
+    if (event.kind == workload::EventKind::kArrive) {
+      livePos_[event.ball] = live_.size();
+      live_.push_back(event.ball);
+    } else if (event.kind == workload::EventKind::kDepart) {
+      const auto it = livePos_.find(event.ball);
+      RLSLB_ASSERT(it != livePos_.end());
+      const std::size_t pos = it->second;
+      const std::int64_t moved = live_.back();
+      live_[pos] = moved;
+      livePos_[moved] = pos;
+      live_.pop_back();
+      livePos_.erase(event.ball);
+    }
+  }
+
+  /// One repair activation of a uniformly random live ball: the ball, then
+  /// a uniform candidate bin, then the strict rule.
+  bool uniformRepairMove(rng::Xoshiro256pp& eng) {
+    if (live_.empty()) return false;
+    ++counters_.repairAttempts;
+    const std::int64_t ball = live_[static_cast<std::size_t>(
+        rng::uniformIndex(eng, static_cast<std::uint64_t>(live_.size())))];
+    const auto dst = static_cast<std::int32_t>(
+        rng::uniformIndex(eng, static_cast<std::uint64_t>(loads_.size())));
+    BallRec& rec = balls_.at(ball);
+    if (dst == rec.bin || loads_[static_cast<std::size_t>(dst)] + rec.weight >=
+                              loads_[static_cast<std::size_t>(rec.bin)]) {
+      return false;
+    }
+    ++counters_.repairMigrations;
+    moveBall(ball, rec, dst);
+    return true;
+  }
+
+  Semantics semantics_;
+  std::vector<std::int64_t> live_;
+  std::unordered_map<std::int64_t, std::size_t> livePos_;
+
   AllocatorOptions options_;
   std::vector<std::int64_t> loads_;
   ds::Fenwick<std::int64_t> mass_;
@@ -286,16 +363,26 @@ class ReferenceEventLoop {
 
       snapshot = allocator_->loads();
       decisions.assign(batch.size(), Decision{});
-      pool_->parallelFor(static_cast<std::int64_t>(shards), [&](std::int64_t shard) {
-        for (const std::size_t i : shardEvents[static_cast<std::size_t>(shard)]) {
-          const workload::Event& e = batch[i];
-          if (e.kind == workload::EventKind::kDepart) continue;
-          rng::Xoshiro256pp eng(rng::streamSeed(
-              decisionSeed,
-              static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
-          decisions[i] = allocator_->decide(e, snapshot, eng);
+      if (allocator_->semantics() == Semantics::kUniformBallClocks) {
+        // One decision stream per epoch, drawn in trace order.
+        rng::Xoshiro256pp eng(
+            rng::streamSeed(decisionSeed, static_cast<std::uint64_t>(nextEpoch_)));
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (batch[i].kind == workload::EventKind::kDepart) continue;
+          decisions[i] = allocator_->decide(batch[i], snapshot, eng);
         }
-      });
+      } else {
+        pool_->parallelFor(static_cast<std::int64_t>(shards), [&](std::int64_t shard) {
+          for (const std::size_t i : shardEvents[static_cast<std::size_t>(shard)]) {
+            const workload::Event& e = batch[i];
+            if (e.kind == workload::EventKind::kDepart) continue;
+            rng::Xoshiro256pp eng(rng::streamSeed(
+                decisionSeed,
+                static_cast<std::uint64_t>(baseOrdinal + static_cast<std::int64_t>(i))));
+            decisions[i] = allocator_->decide(e, snapshot, eng);
+          }
+        });
+      }
 
       for (std::size_t i = 0; i < batch.size(); ++i) {
         allocator_->apply(batch[i], decisions[i]);

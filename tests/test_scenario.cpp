@@ -3,6 +3,7 @@
 // across repeated runs and thread counts).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 
 #include "config/generators.hpp"
 #include "core/rls.hpp"
+#include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/scenario.hpp"
@@ -165,6 +167,78 @@ TEST(Harness, OutOfRangeValueExitsBeforeTheRunWritesNothing) {
         << params.front();
     EXPECT_FALSE(std::ifstream(outPath).good()) << params.front() << ": the sink was opened";
   }
+}
+
+/// Writes `bytes` to a fresh file under the test temp dir; returns its path.
+std::string writeTempFile(const std::string& name, const std::string& bytes) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream(path, std::ios::binary) << bytes;
+  return path;
+}
+
+/// runStandalone(name, --out=<fresh path>, params...): the exit code, and
+/// whether the --out file exists afterwards.
+std::pair<int, bool> runWithOut(const std::string& name, const std::vector<std::string>& params,
+                                const std::string& outName) {
+  const std::string outPath = ::testing::TempDir() + outName;
+  std::remove(outPath.c_str());
+  std::vector<std::string> args = {"bench_" + name, "--out=" + outPath};
+  args.insert(args.end(), params.begin(), params.end());
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const int code = runStandalone(static_cast<int>(argv.size()), argv.data(), name);
+  return {code, std::ifstream(outPath).good()};
+}
+
+// File-backed serve params are checked before the run too: an output file
+// that cannot be created and a replay file that does not dry-parse exit 2
+// with the parameter diagnostic, and the --out sink is never opened.
+TEST(Harness, UnusableFileParamsExitBeforeTheRunWritesNothing) {
+  const std::string missingDir = ::testing::TempDir() + "no_such_dir_for_rlslb/";
+  std::string binaryTail = "RLT1";
+  binaryTail += std::string(10, '\0');  // a truncated 25-byte record
+  std::vector<std::vector<std::string>> cases = {
+      {"n=64", "events=100", "record=" + missingDir + "rec.jsonl"},
+      {"trace=" + writeTempFile("not_a_trace.jsonl", "hello\n")},
+      {"trace=" + writeTempFile("wrong_types.jsonl",
+                                "{\"t\":\"x\",\"kind\":\"arrive\",\"ball\":1,\"w\":1}\n")},
+      {"trace=" + writeTempFile("no_header.csv", "0.5,arrive,1,1\n")},
+      {"trace=" + writeTempFile("no_magic.bin", "RLT0")},
+      {"trace=" + writeTempFile("truncated.bin", binaryTail)},
+      {"trace=" + writeTempFile("empty.jsonl", "\n")},
+  };
+  if (obs::kTracingCompiledIn) {
+    cases.push_back({"n=64", "events=100", "trace_out=" + missingDir + "t.json"});
+  }
+  int index = 0;
+  for (const auto& params : cases) {
+    const auto [code, wrote] =
+        runWithOut("serve_poisson", params, "file_param_" + std::to_string(index++) + ".jsonl");
+    EXPECT_EQ(code, 2) << params.back();
+    EXPECT_FALSE(wrote) << params.back() << ": the sink was opened";
+  }
+}
+
+// The writability probe leaves no file behind, and a writable record=
+// still records.
+TEST(Harness, WritableRecordPathPassesTheCheckAndRecords) {
+  const std::string recordPath = ::testing::TempDir() + "recorded_trace.jsonl";
+  std::remove(recordPath.c_str());
+  ScenarioRegistry r;
+  registerBuiltinScenarios(r);
+  ScenarioContext ctx;
+  ctx.params = paramsOf({"n=8", "events=50", "record=" + recordPath});
+  EXPECT_NO_THROW(r.checkValues({"serve_poisson"}, ctx));
+  EXPECT_FALSE(std::ifstream(recordPath).good()) << "the probe left a file behind";
+  const auto [code, wrote] = runWithOut(
+      "serve_poisson", {"n=8", "events=50", "record=" + recordPath}, "record_ok.jsonl");
+  EXPECT_EQ(code, 0);
+  EXPECT_TRUE(wrote);
+  std::ifstream recorded(recordPath);
+  std::string line;
+  std::int64_t lines = 0;
+  while (std::getline(recorded, line)) ++lines;
+  EXPECT_EQ(lines, 50);
 }
 
 TEST(ScenarioRegistry, CheckValuesRunsEachNamedScenariosCheck) {

@@ -82,8 +82,8 @@ struct Config {
 
 Outcome runReference(const Config& c) {
   auto trace = makeTrace(c.kind, c.bins, c.events, c.seed);
-  reference::ReferenceAllocator allocator(
-      AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+  reference::ReferenceAllocator allocator(AllocatorOptions{.bins = c.bins, .arrivalChoices = 2},
+                                          reference::Semantics::kUniformBallClocks);
   runner::ThreadPool pool(1);
   reference::ReferenceEventLoop loop(
       allocator,
@@ -320,7 +320,8 @@ TEST(FusedDifferential, HighContentionLongEpochs) {
   {
     workload::PoissonTrace trace(base, c.seed);
     reference::ReferenceAllocator allocator(
-        AllocatorOptions{.bins = c.bins, .arrivalChoices = 2});
+        AllocatorOptions{.bins = c.bins, .arrivalChoices = 2},
+        reference::Semantics::kUniformBallClocks);
     runner::ThreadPool pool(1);
     reference::ReferenceEventLoop loop(
         allocator,

@@ -5,20 +5,23 @@
 //   - the zero-allocation claim (steady-state epochs — balanced system,
 //     resample-only traffic — perform no heap allocation at all, on both
 //     allocators, pinned by a global operator new counting hook);
-//   - the dense allocator's O(1) resident-byte count against a walk;
+//   - both allocators' O(1) resident-byte count against the heap bytes
+//     they hold;
 //   - the deferred-accounting lazy flush (merged-view accessors agree with
 //     eager bookkeeping without an explicit flush call).
 // The byte-identity of the snapshot-free decision phase and the deferred
-// Fenwick flush against the frozen reference loop is pinned separately by
+// balance-tracker flush against the frozen reference loop is pinned separately by
 // the differentials in tests/test_serve_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "capacity/compact_allocator.hpp"
@@ -30,13 +33,19 @@
 // Allocation-counting hook: replaces the replaceable global allocation
 // functions for this test binary. Counting is off by default so gtest's
 // own bookkeeping never trips it; tests toggle it around the region under
-// scrutiny. (Aligned-new overloads fall through to the default library
-// implementations; nothing on the serving hot path uses them.)
+// scrutiny. Every block also carries its size in a header, so the hook
+// keeps an exact count of live heap bytes (the ground truth the resident-
+// byte accounting is checked against). (Aligned-new overloads fall through
+// to the default library implementations; nothing on the serving hot path
+// uses them.)
 namespace {
 std::atomic<bool> g_countAllocs{false};
 std::atomic<std::int64_t> g_allocCount{0};
+std::atomic<std::int64_t> g_heapBytes{0};
+constexpr std::size_t kBlockHeader = alignof(std::max_align_t);
 
 std::int64_t allocCount() { return g_allocCount.load(std::memory_order_relaxed); }
+std::int64_t heapBytes() { return g_heapBytes.load(std::memory_order_relaxed); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -44,14 +53,24 @@ void* operator new(std::size_t size) {
   if (g_countAllocs.load(std::memory_order_relaxed)) {
     g_allocCount.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size + kBlockHeader)) {
+    *static_cast<std::size_t*>(p) = size;
+    g_heapBytes.fetch_add(static_cast<std::int64_t>(size), std::memory_order_relaxed);
+    return static_cast<char*>(p) + kBlockHeader;
+  }
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  char* block = static_cast<char*>(p) - kBlockHeader;
+  g_heapBytes.fetch_sub(static_cast<std::int64_t>(*reinterpret_cast<std::size_t*>(block)),
+                        std::memory_order_relaxed);
+  std::free(block);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace rlslb::serve {
 namespace {
@@ -280,32 +299,63 @@ TEST(SteadyStateAllocations, CompactPathIsAllocationFree) {
 
 // ------------------------------------------------------- resident bytes
 
-// The dense allocator's per-bin list bytes are a running count (so
-// residentBytes() is O(1)); after weighted traffic with arrivals,
-// departures and migrations it must equal a walk over every list.
-TEST(ResidentBytes, BinListBytesEqualACapacityWalkAfterAWeightedRun) {
+/// Replays a recorded event vector: a trace that allocates nothing while
+/// the loop runs.
+class VectorTrace final : public workload::TraceGenerator {
+ public:
+  explicit VectorTrace(const std::vector<workload::Event>& events) : events_(&events) {}
+  bool next(workload::Event* out) override {
+    if (next_ >= events_->size()) return false;
+    *out = (*events_)[next_++];
+    return true;
+  }
+  [[nodiscard]] std::string name() const override { return "vector"; }
+
+ private:
+  const std::vector<workload::Event>* events_;
+  std::size_t next_ = 0;
+};
+
+template <class Allocator>
+class ResidentBytes : public ::testing::Test {};
+using LoopAllocators = ::testing::Types<OnlineAllocator, capacity::CompactAllocator>;
+TYPED_TEST_SUITE(ResidentBytes, LoopAllocators);
+
+// residentBytes() is a capacity walk over the allocator's structures; after
+// a run with arrivals, departures, migrations and repairs it must equal the
+// heap bytes the allocator actually holds, as counted block by block by
+// the allocation hook -- so no structure is missed or miscounted. Weighted
+// hot spots for the dense allocator, unit weights for the compact one.
+TYPED_TEST(ResidentBytes, EqualTheHeapBytesTheAllocatorHolds) {
   constexpr std::int64_t kBins = 48;
+  constexpr bool kDense = std::is_same_v<TypeParam, OnlineAllocator>;
   workload::HotspotTraceOptions o;
   o.base.bins = kBins;
   o.base.arrivalRatePerBin = 1.0;
   o.base.departureRate = 0.25;
   o.base.resampleRate = 1.0;
   o.base.maxEvents = 30000;
-  workload::HotspotTrace trace(o, 13);
-  OnlineAllocator allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
-  EpochLoop loop(allocator, hotpathOptions());
-  loop.run(trace);
-  ASSERT_GT(allocator.maxWeightSeen(), 1);
-  ASSERT_GT(allocator.counters().migrations, 0);
-
-  std::int64_t walk = 0;
-  for (std::int32_t bin = 0; bin < kBins; ++bin) {
-    walk += static_cast<std::int64_t>(allocator.binBalls(bin).capacity() *
-                                      sizeof(std::int64_t));
+  o.hotWeight = kDense ? 8 : 1;
+  std::vector<workload::Event> events;
+  {
+    workload::HotspotTrace trace(o, 13);
+    workload::Event e;
+    while (trace.next(&e)) events.push_back(e);
   }
-  EXPECT_GT(walk, 0);
-  EXPECT_EQ(allocator.binListBytes(), walk);
-  EXPECT_GT(allocator.residentBytes(), walk);
+
+  const std::int64_t before = heapBytes();
+  TypeParam allocator(AllocatorOptions{.bins = kBins, .arrivalChoices = 2});
+  EpochLoop loop(allocator, hotpathOptions());
+  VectorTrace trace(events);
+  loop.run(trace);
+  const std::int64_t held = heapBytes() - before;
+  ASSERT_GT(allocator.counters().migrations, 0);
+  ASSERT_GT(allocator.counters().repairMigrations, 0);
+  ASSERT_GT(allocator.counters().departures, 0);
+  EXPECT_EQ(allocator.maxWeightSeen() > 1, kDense);
+  EXPECT_GT(held, 0);
+  EXPECT_EQ(allocator.residentBytes(), held);
+  EXPECT_TRUE(allocator.validate());
 }
 
 // ---------------------------------------------------------- lazy flush

@@ -227,17 +227,49 @@ TEST(TraceIo, FormatConversionComposesWithoutLoss) {
   EXPECT_TRUE(bitEqual(original, last));
 }
 
-TEST(TraceIo, CountTraceEventsMatchesEveryFormat) {
+TEST(TraceIo, ScanTraceEventsMatchesEveryFormat) {
   for (const TraceFormat format :
        {TraceFormat::kJsonl, TraceFormat::kCsv, TraceFormat::kBinary}) {
     PoissonTrace source(baseOptions(600), 3);
     std::stringstream storage(std::ios::in | std::ios::out | std::ios::binary);
     RecordingTrace recorder(source, storage, format);
     const std::vector<Event> original = drain(recorder);
-    EXPECT_EQ(countTraceEvents(storage, format),
+    std::string error;
+    EXPECT_EQ(scanTraceEvents(storage, format, &error),
               static_cast<std::int64_t>(original.size()))
-        << traceFormatName(format);
+        << traceFormatName(format) << ": " << error;
   }
+}
+
+// The dry parse reports corruption (with the 1-based event it hit) where a
+// replay reader would abort.
+TEST(TraceIo, ScanTraceEventsRejectsMalformedStreams) {
+  const auto scan = [](const std::string& bytes, TraceFormat format) {
+    std::istringstream in(bytes);
+    std::string error;
+    const std::int64_t count = scanTraceEvents(in, format, &error);
+    return std::make_pair(count, error);
+  };
+  const std::string good = formatTraceEvent({0.5, EventKind::kArrive, 1, 1});
+  EXPECT_EQ(scan(good + "\nnot json\n", TraceFormat::kJsonl).first, -1);
+  EXPECT_EQ(scan(good + "\nnot json\n", TraceFormat::kJsonl).second.rfind("event 2: ", 0),
+            0u);
+  EXPECT_EQ(scan("{\"t\":1,\"kind\":\"arrive\",\"ball\":\"7\",\"w\":1}\n",
+                 TraceFormat::kJsonl).first,
+            -1);
+  EXPECT_EQ(scan("{\"t\":1,\"kind\":\"leave\",\"ball\":7,\"w\":1}\n", TraceFormat::kJsonl)
+                .first,
+            -1);
+  EXPECT_EQ(scan("0.5,arrive,1,1\n", TraceFormat::kCsv).second,
+            "event 1: missing CSV header 't,kind,ball,w'");
+  EXPECT_EQ(scan(std::string(kTraceCsvHeader) + "\n0.5,arrive,1\n", TraceFormat::kCsv).first,
+            -1);
+  EXPECT_EQ(scan("RLT0", TraceFormat::kBinary).second, "event 1: missing RLT1 binary magic");
+  EXPECT_EQ(scan(std::string(kTraceBinaryMagic) + "12345", TraceFormat::kBinary).second,
+            "event 1: truncated binary record");
+  EXPECT_EQ(scan("", TraceFormat::kJsonl).first, 0);
+  EXPECT_EQ(scan(std::string(kTraceCsvHeader) + "\n", TraceFormat::kCsv).first, 0);
+  EXPECT_EQ(scan(kTraceBinaryMagic, TraceFormat::kBinary).first, 0);
 }
 
 TEST(TraceIo, CsvRowFormatting) {
