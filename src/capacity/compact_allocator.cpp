@@ -62,6 +62,20 @@ CompactAllocator::LiveBall& CompactAllocator::liveEntry(std::int64_t ball,
   return live_[static_cast<std::size_t>(slot)];
 }
 
+namespace {
+// Look-ahead distances of applyBatch's prefetch pipeline, in events. Each
+// stage needs the line the stage before fetched: the index entry, then the
+// live-array entry it names, then the loads and dirty marks of the bins.
+constexpr std::size_t kIndexAhead = 16;
+constexpr std::size_t kEntryAhead = 8;
+constexpr std::size_t kBinsAhead = 4;
+}  // namespace
+
+std::int32_t CompactAllocator::slotHint(std::int64_t ball) const {
+  if (ball < 0 || static_cast<std::uint64_t>(ball) >= slotOf_.size()) return -1;
+  return slotOf_[static_cast<std::size_t>(ball)];  // -1 while not live
+}
+
 void CompactAllocator::applyBatch(const workload::Event* events,
                                   const serve::Decision* decisions, std::size_t count) {
   // Same register-accumulated counters as the dense fused hot loop.
@@ -71,6 +85,36 @@ void CompactAllocator::applyBatch(const workload::Event* events,
   std::int64_t migrations = 0;
   std::int64_t rejected = 0;
   for (std::size_t i = 0; i < count; ++i) {
+    // The look-ahead prefetch pipeline, written out in the loop body: GCC
+    // drops a call to an out-of-line helper whose only effect is
+    // prefetching, as side-effect free. Hints only: a slot or bin read here
+    // may be stale by the time event i gets there (an earlier swap-remove
+    // moves entries), which costs a miss, never a wrong result. Every
+    // index is range-checked.
+    if (i + kIndexAhead < count) {
+      const std::int64_t ball = events[i + kIndexAhead].ball;
+      if (ball >= 0 && static_cast<std::uint64_t>(ball) < slotOf_.size()) {
+        __builtin_prefetch(slotOf_.data() + ball);
+      }
+    }
+    if (i + kEntryAhead < count) {
+      const std::int32_t slot = slotHint(events[i + kEntryAhead].ball);
+      if (slot >= 0) __builtin_prefetch(live_.data() + slot);
+    }
+    if (i + kBinsAhead < count) {
+      const workload::Event& e = events[i + kBinsAhead];
+      const std::int32_t slot = slotHint(e.ball);
+      const std::int32_t bins[2] = {
+          e.kind == workload::EventKind::kDepart ? -1 : decisions[i + kBinsAhead].bin,
+          slot < 0 ? -1 : live_[static_cast<std::size_t>(slot)].bin};
+      for (const std::int32_t bin : bins) {
+        if (bin >= 0 && static_cast<std::size_t>(bin) < loads_.size()) {
+          __builtin_prefetch(loads_.data() + bin);
+          __builtin_prefetch(dirtyMark_.data() + bin);
+        }
+      }
+    }
+
     const workload::Event& event = events[i];
     switch (event.kind) {
       case workload::EventKind::kArrive: {

@@ -135,6 +135,9 @@ class CompactAllocator {
   void removeBall(std::int64_t ball);
   /// The live-array entry of `ball` (asserts the id is in range and live).
   LiveBall& liveEntry(std::int64_t ball, const char* notLive);
+  /// The live-array slot `ball` holds now, or -1 (an id the index does
+  /// not cover yet, or a ball not live) -- unlike liveEntry, never asserts.
+  [[nodiscard]] std::int32_t slotHint(std::int64_t ball) const;
 
   serve::AllocatorOptions options_;
   std::vector<std::int32_t> loads_;  // live per-bin ball counts

@@ -133,7 +133,7 @@ std::int64_t checkServe(const ScenarioContext& ctx, const std::string& kind) {
   (void)p.getDoubleIn("lambda", 1.0, 0.0);
   (void)p.getDoubleIn("mu", 0.125, 0.0);
   (void)p.getDoubleIn("resample", 1.0, 0.0);
-  (void)p.getIntIn("weight", 1, 1);
+  (void)p.getIntIn("weight", 1, 1, workload::kMaxBallWeight);
   std::int64_t replayEvents = 0;
   if (p.has("trace")) {
     const std::string replayPath = p.getString("trace", "");
@@ -175,7 +175,7 @@ std::int64_t checkServe(const ScenarioContext& ctx, const std::string& kind) {
   } else if (kind == "adversarial") {
     positive("burst_period", 16.0);
     (void)p.getIntIn("burst_size", 32, 1);
-    (void)p.getIntIn("hot_weight", 8, 1);
+    (void)p.getIntIn("hot_weight", 8, 1, workload::kMaxBallWeight);
   } else if (kind == "composed") {
     const std::string spec = p.getString("spec", kDefaultComposedSpec);
     workload::ComposeSpec parsed;

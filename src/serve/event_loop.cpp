@@ -93,26 +93,22 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
   }
 
   RunResult result;
-  // Epoch-scoped storage is reused across epochs: after the first epoch a
+  // Epoch-scoped storage, sized once and reused across epochs: a
   // steady-state epoch performs no heap allocation (pinned by
-  // tests/test_serve_hotpath.cpp). `decisions` grows but never zero-fills
-  // per epoch; depart slots are simply never read.
-  std::vector<workload::Event> batch;
-  std::vector<Decision> decisions;
-  batch.reserve(static_cast<std::size_t>(options_.epochEvents));
+  // tests/test_serve_hotpath.cpp). Depart slots of `decisions` are never
+  // read.
+  const auto epochEvents = static_cast<std::size_t>(options_.epochEvents);
+  std::vector<workload::Event> batch(epochEvents);
+  std::vector<Decision> decisions(epochEvents);
 
   for (;;) {
-    // Trace generation, outside the epoch timer; timed for the
-    // serve.phase.tracegen_ns counter when metrics are attached.
+    // Trace generation (one fill call), outside the epoch timer; timed
+    // for the serve.phase.tracegen_ns counter when metrics are attached.
     const double tFill0 = metrics != nullptr ? obs::nowUs() : 0.0;
-    batch.clear();
-    workload::Event event;
-    while (static_cast<std::int64_t>(batch.size()) < options_.epochEvents &&
-           trace.next(&event)) {
-      batch.push_back(event);
-    }
+    const std::size_t count = trace.fill(batch.data(), epochEvents);
     if (metrics != nullptr) metrics->add(ids_.tracegenNs, spanNs(tFill0, obs::nowUs()));
-    if (batch.empty()) break;
+    if (count == 0) break;
+    const workload::Event& last = batch[count - 1];
 
     // Timing contract: the timer brackets decision + apply + repair
     // (including the deferred-accounting flush) only; the batch fill above
@@ -130,9 +126,8 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     // happens in the apply/repair phases, strictly after the decision
     // phase, so the bytes it sees are exactly the epoch-start snapshot.
     // One stream per epoch, drawn in trace order.
-    if (decisions.size() < batch.size()) decisions.resize(batch.size());
     rng::Xoshiro256pp eng(rng::streamSeed(decisionSeed, static_cast<std::uint64_t>(nextEpoch_)));
-    for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       const workload::Event& e = batch[i];
       if (e.kind == workload::EventKind::kDepart) continue;  // no randomness
       decisions[i] = allocator_->decide(e, eng);
@@ -140,7 +135,7 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     if (instrumented) tDecide1 = obs::nowUs();
 
     // Apply phase in trace order.
-    allocator_->applyBatch(batch.data(), decisions.data(), batch.size());
+    allocator_->applyBatch(batch.data(), decisions.data(), count);
     if (instrumented) tApply1 = obs::nowUs();
 
     // Repair budget.
@@ -157,7 +152,7 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
 
     const double epochWall = wall.seconds();
     result.wallSeconds += epochWall;
-    result.events += static_cast<std::int64_t>(batch.size());
+    result.events += static_cast<std::int64_t>(count);
     ++result.epochs;
 
     // Everything below is outside the timed region: stats assembly, the
@@ -178,7 +173,7 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     }
 
     if (metrics != nullptr) {
-      metrics->add(ids_.events, static_cast<std::int64_t>(batch.size()));
+      metrics->add(ids_.events, static_cast<std::int64_t>(count));
       metrics->add(ids_.epochs, 1);
       const ServeCounters& c = allocator_->counters();
       metrics->add(ids_.arrivals, c.arrivals - prevCounters.arrivals);
@@ -214,8 +209,8 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
       obs::CheckSample sample;
       sample.origin = obs::CheckSample::Origin::kServeEpoch;
       sample.step = nextEpoch_;
-      sample.time = batch.back().time;
-      sample.events = static_cast<std::int64_t>(batch.size());
+      sample.time = last.time;
+      sample.events = static_cast<std::int64_t>(count);
       sample.wallSeconds = epochWall;
       sample.gap = gap;
       sample.liveBalls = allocator_->liveBalls();
@@ -231,8 +226,8 @@ typename EpochLoop<Allocator>::RunResult EpochLoop<Allocator>::run(
     if (onEpoch) {
       EpochStats stats;
       stats.epoch = nextEpoch_;
-      stats.traceTime = batch.back().time;
-      stats.events = static_cast<std::int64_t>(batch.size());
+      stats.traceTime = last.time;
+      stats.events = static_cast<std::int64_t>(count);
       stats.liveBalls = allocator_->liveBalls();
       stats.totalLoad = allocator_->totalLoad();
       stats.balance = balance;

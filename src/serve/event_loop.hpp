@@ -7,7 +7,9 @@
 //
 // Events are consumed in fixed-size *epochs* (bulk-synchronous style):
 //
-//   1. Fill a batch of up to epochEvents events from the trace.
+//   1. Fill a batch of up to epochEvents events from the trace with one
+//      TraceGenerator::fill call (the generators' batched sampler; a
+//      short batch means the trace has ended).
 //   2. Decision phase: walk the batch in trace order and compute each
 //      event's random placement/candidate decision against the live load
 //      array. No load changes before the apply phase starts, so the bytes

@@ -59,8 +59,9 @@ const char* checkFactor(const ComposeFactor& f) {
       if (!(f.b >= 1.0 && f.b == std::floor(f.b))) {
         return "hotspot size must be an integer >= 1";
       }
-      if (!(f.c >= 1.0 && f.c == std::floor(f.c))) {
-        return "hotspot weight must be an integer >= 1";
+      if (!(f.c >= 1.0 && f.c <= static_cast<double>(kMaxBallWeight) &&
+            f.c == std::floor(f.c))) {
+        return "hotspot weight must be an integer in [1, 2147483647]";
       }
       break;
   }

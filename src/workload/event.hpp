@@ -21,6 +21,11 @@ namespace rlslb::workload {
 
 enum class EventKind : std::uint8_t { kArrive = 0, kDepart = 1, kResample = 2 };
 
+/// The heaviest ball any input may bring in (generator params, compose
+/// specs, replayed traces): bin loads are int64 sums of weights, which
+/// this bound keeps far from overflow.
+inline constexpr std::int64_t kMaxBallWeight = INT32_MAX;
+
 struct Event {
   double time = 0.0;       // trace timestamp, nondecreasing
   EventKind kind = EventKind::kArrive;

@@ -33,6 +33,12 @@ bool kindFromName(std::string_view name, EventKind* out) {
   return true;
 }
 
+std::size_t TraceGenerator::fill(Event* out, std::size_t count) {
+  std::size_t k = 0;
+  while (k < count && next(out + k)) ++k;
+  return k;
+}
+
 OpenTrace::OpenTrace(const OpenTraceOptions& options, std::uint64_t seed)
     : options_(options), eng_(seed) {
   RLSLB_ASSERT(options_.bins >= 1);
@@ -52,46 +58,49 @@ void OpenTrace::emitBurst(double) {}
 
 void OpenTrace::queueArrival(double t, std::int64_t weight) {
   RLSLB_ASSERT(weight >= 1);
-  const std::int64_t id = nextBall_++;
-  live_.push_back(id);
-  pending_.push_back({t, EventKind::kArrive, id, weight});
+  pending_.push_back({t, EventKind::kArrive, nextBall_++, weight});
 }
 
-bool OpenTrace::next(Event* out) {
-  if (emitted_ >= options_.maxEvents) return false;
-  for (;;) {
-    if (!pending_.empty()) {
-      *out = pending_.front();
-      pending_.pop_front();
-      ++emitted_;
-      return true;
-    }
+std::size_t OpenTrace::fill(Event* out, std::size_t count) {
+  const std::int64_t left = options_.maxEvents - emitted_;
+  if (left <= 0) return 0;
+  count = std::min(count, static_cast<std::size_t>(left));
 
-    // Superposed exponential clocks: candidate arrivals at the rate
-    // ceiling (thinned to the instantaneous rate), departures and RLS
-    // resamples per live ball. All rates are constant between events, so
-    // the competing-exponentials draw is exact.
-    const double ceiling = arrivalRateCeiling();
-    const double arrivalRate = ceiling * static_cast<double>(options_.bins);
-    const double balls = static_cast<double>(live_.size());
+  // Phase 1: every draw, in stream order, against the live *count*.
+  // Superposed exponential clocks: candidate arrivals at the rate ceiling
+  // (thinned to the instantaneous rate), departures and RLS resamples per
+  // live ball. All rates are constant between events, so the
+  // competing-exponentials draw is exact. No draw happens while burst
+  // arrivals are queued, so `live` counts them once they are emitted.
+  const double ceiling = arrivalRateCeiling();
+  const double arrivalRate = ceiling * static_cast<double>(options_.bins);
+  auto live = static_cast<std::uint64_t>(live_.size());
+  std::size_t k = 0;
+  while (k < count) {
+    if (!pending_.empty()) {
+      out[k++] = pending_.front();
+      pending_.pop_front();
+      ++live;
+      continue;
+    }
+    if (!nextBurstKnown_) {
+      nextBurst_ = nextBurstAfter(time_);
+      nextBurstKnown_ = true;
+    }
+    const double balls = static_cast<double>(live);
     const double departRate = options_.departureRate * balls;
     const double resampleRate = options_.resampleRate * balls;
     const double total = arrivalRate + departRate + resampleRate;
-    const double burstAt = nextBurstAfter(time_);
-    if (total <= 0.0) {
-      // No running clocks (empty system, no stochastic arrivals): only a
-      // scheduled burst can still produce events.
-      if (!std::isfinite(burstAt)) return false;  // trace over
-      time_ = burstAt;
-      emitBurst(burstAt);
-      continue;
-    }
-
-    const double candidate = time_ + rng::exponential(eng_, total);
-    if (burstAt <= candidate) {
-      time_ = burstAt;
-      emitBurst(burstAt);
-      continue;  // burst events queued; popped at the top of the loop
+    // With no running clocks (empty system, no stochastic arrivals) only
+    // a scheduled burst can still produce events.
+    if (total <= 0.0 && !std::isfinite(nextBurst_)) break;  // trace over
+    const double candidate =
+        total <= 0.0 ? nextBurst_ : time_ + rng::exponential(eng_, total);
+    if (nextBurst_ <= candidate) {
+      time_ = nextBurst_;
+      nextBurstKnown_ = false;
+      emitBurst(time_);
+      continue;  // burst events queued; emitted at the top of the loop
     }
     time_ = candidate;
 
@@ -99,23 +108,44 @@ bool OpenTrace::next(Event* out) {
     if (ticket < arrivalRate) {
       // Thinning: accept a candidate arrival with prob rate(t)/ceiling.
       if (rng::uniformDouble(eng_) * ceiling <= arrivalRateAt(time_)) {
-        queueArrival(time_, arrivalWeight(time_));
+        const std::int64_t weight = arrivalWeight(time_);
+        RLSLB_ASSERT(weight >= 1);
+        out[k++] = {time_, EventKind::kArrive, nextBall_++, weight};
+        ++live;
       }
       continue;
     }
-    const auto pick = static_cast<std::size_t>(
-        rng::uniformIndex(eng_, static_cast<std::uint64_t>(live_.size())));
-    const std::int64_t ball = live_[pick];
+    // The picked live-array position rides in `ball` until phase 2.
+    const auto pick = static_cast<std::int64_t>(rng::uniformIndex(eng_, live));
     if (ticket < arrivalRate + departRate) {
-      live_[pick] = live_.back();
-      live_.pop_back();
-      *out = {time_, EventKind::kDepart, ball, 0};
+      out[k++] = {time_, EventKind::kDepart, pick, 0};
+      --live;
     } else {
-      *out = {time_, EventKind::kResample, ball, 0};
+      out[k++] = {time_, EventKind::kResample, pick, 0};
     }
-    ++emitted_;
-    return true;
   }
+  emitted_ += static_cast<std::int64_t>(k);
+
+  // Phase 2: the live-array operations in order; positions become ids.
+  for (std::size_t i = 0; i < k; ++i) {
+    Event& e = out[i];
+    switch (e.kind) {
+      case EventKind::kArrive:
+        live_.push_back(e.ball);
+        break;
+      case EventKind::kDepart: {
+        const auto pick = static_cast<std::size_t>(e.ball);
+        e.ball = live_[pick];
+        live_[pick] = live_.back();
+        live_.pop_back();
+        break;
+      }
+      case EventKind::kResample:
+        e.ball = live_[static_cast<std::size_t>(e.ball)];
+        break;
+    }
+  }
+  return k;
 }
 
 // ------------------------------------------------------------------ bursty

@@ -10,8 +10,15 @@
 //
 // Determinism contract: a generator is a pure function of its options and
 // seed — the same (options, seed) yields the same event stream on any
-// machine, thread count, or consumption pattern. Seeds are derived through
-// the same rng::streamSeed machinery as the replication harness.
+// machine, thread count, or consumption pattern (next() per event, fill()
+// batches of any size, or a mix). Seeds are derived through the same
+// rng::streamSeed machinery as the replication harness.
+//
+// Batching: OpenTrace::fill draws a whole batch before it touches the
+// live-ball array (see the class comment), which needs two things of the
+// subclass hooks: arrivalRateCeiling() is constant, and nextBurstAfter(t)
+// is a pure function of t, so the next burst time can be cached until
+// that burst fires.
 //
 // The roster:
 //   PoissonTrace   constant-rate arrivals — the [11] baseline.
@@ -32,6 +39,7 @@
 // JSONL replay (workload/trace_io.hpp) completes the set.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -44,10 +52,17 @@ namespace rlslb::workload {
 
 /// Pull interface: next(out) yields events in nondecreasing time order
 /// until the trace ends (returns false).
+///
+/// fill(out, count) is the batched form: it writes the next events into
+/// out[0, k) and returns k <= count, with k < count only when the trace
+/// has ended. Any mix of next() and fill() calls yields the one stream
+/// next() alone would. The default loops next(); OpenTrace overrides it
+/// with a two-phase sampler (see there), and next() there is fill(out, 1).
 class TraceGenerator {
  public:
   virtual ~TraceGenerator() = default;
   virtual bool next(Event* out) = 0;
+  virtual std::size_t fill(Event* out, std::size_t count);
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
@@ -63,25 +78,47 @@ struct OpenTraceOptions {
 
 /// Shared event-loop over superposed exponential clocks, with hooks for
 /// rate modulation and scheduled (deterministic-time) arrivals.
+///
+/// fill() samples a batch in two phases. Phase 1 makes every draw in
+/// stream order (the exponential, the ticket, the thinning uniform, the
+/// live-array position) while keeping only a live-ball *count*, so no
+/// draw waits on a read of the live-ball array; a depart or resample is
+/// written with its picked position in Event::ball. Phase 2 then replays
+/// the live-array operations in order (push on arrive, swap-remove on
+/// depart, read on resample) and swaps each position for its ball id.
+/// At large n those reads are cache misses; out of the rng dependency
+/// chain, they overlap. The stream is the one the one-event-at-a-time
+/// sampler drew.
+///
+/// Two hook contracts make the batch exact:
+///   - arrivalRateCeiling() is constant over the trace's life; fill()
+///     reads it once per call.
+///   - nextBurstAfter(t) is a pure function of t; fill() caches the next
+///     burst time until that burst fires, instead of asking per event.
 class OpenTrace : public TraceGenerator {
  public:
   OpenTrace(const OpenTraceOptions& options, std::uint64_t seed);
 
-  bool next(Event* out) final;
+  bool next(Event* out) final { return fill(out, 1) == 1; }
+  std::size_t fill(Event* out, std::size_t count) final;
 
+  /// Balls that have arrived in trace time and not departed, including
+  /// queued burst arrivals not yet emitted.
   [[nodiscard]] std::int64_t liveBalls() const {
-    return static_cast<std::int64_t>(live_.size());
+    return static_cast<std::int64_t>(live_.size() + pending_.size());
   }
 
  protected:
   /// Instantaneous arrival rate per bin at time t; must be <=
   /// arrivalRateCeiling() everywhere (thinning correctness).
   [[nodiscard]] virtual double arrivalRateAt(double t) const;
+  /// Constant: the same value on every call.
   [[nodiscard]] virtual double arrivalRateCeiling() const;
   /// Weight of the arrival being emitted at time t (>= 1).
   [[nodiscard]] virtual std::int64_t arrivalWeight(double t);
-  /// Earliest scheduled burst strictly after t, or infinity. At that time
-  /// emitBurst is invoked to queue synchronized events.
+  /// Earliest scheduled burst strictly after t, or infinity; a pure
+  /// function of t. At that time emitBurst is invoked to queue
+  /// synchronized events.
   [[nodiscard]] virtual double nextBurstAfter(double t) const;
   virtual void emitBurst(double t);
 
@@ -95,7 +132,11 @@ class OpenTrace : public TraceGenerator {
   double time_ = 0.0;
   std::int64_t nextBall_ = 0;
   std::int64_t emitted_ = 0;
-  std::vector<std::int64_t> live_;  // live ball ids (swap-remove on departure)
+  double nextBurst_ = 0.0;          // cached nextBurstAfter(time_)
+  bool nextBurstKnown_ = false;     // false until the first fill, and after a burst
+  // Ids of the live balls emitted so far (swap-remove on departure);
+  // queued burst arrivals join when fill() emits them.
+  std::vector<std::int64_t> live_;
   std::deque<Event> pending_;       // queued burst events, FIFO
 };
 

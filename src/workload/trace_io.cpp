@@ -1,9 +1,12 @@
 #include "workload/trace_io.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
+#include <unordered_set>
+#include <utility>
 
 #include "report/json.hpp"
 #include "util/assert.hpp"
@@ -57,6 +60,12 @@ bool parseTraceEvent(const std::string& line, Event* out, std::string* error) {
   if (t == nullptr || kind == nullptr || ball == nullptr || w == nullptr) {
     if (error != nullptr) *error = "trace event missing one of t/kind/ball/w: " + line;
     return false;
+  }
+  for (const std::string& key : rec.keys()) {
+    if (key != "t" && key != "kind" && key != "ball" && key != "w") {
+      if (error != nullptr) *error = "unknown trace event key \"" + key + "\": " + line;
+      return false;
+    }
   }
   using Kind = report::Json::Kind;
   if ((t->kind() != Kind::Int && t->kind() != Kind::Double) ||
@@ -173,22 +182,32 @@ RecordingTrace::RecordingTrace(TraceGenerator& inner, std::ostream& out,
 
 bool RecordingTrace::next(Event* out) {
   if (!inner_->next(out)) return false;
+  write(*out);
+  return true;
+}
+
+std::size_t RecordingTrace::fill(Event* out, std::size_t count) {
+  const std::size_t k = inner_->fill(out, count);
+  for (std::size_t i = 0; i < k; ++i) write(out[i]);
+  return k;
+}
+
+void RecordingTrace::write(const Event& event) {
   switch (format_) {
     case TraceFormat::kJsonl:
-      *out_ << formatTraceEvent(*out) << '\n';
+      *out_ << formatTraceEvent(event) << '\n';
       break;
     case TraceFormat::kCsv:
-      *out_ << formatTraceEventCsv(*out) << '\n';
+      *out_ << formatTraceEventCsv(event) << '\n';
       break;
     case TraceFormat::kBinary: {
       std::string record;
       record.reserve(kTraceBinaryRecordBytes);
-      appendTraceEventBinary(&record, *out);
+      appendTraceEventBinary(&record, event);
       out_->write(record.data(), static_cast<std::streamsize>(record.size()));
       break;
     }
   }
-  return true;
 }
 
 namespace {
@@ -276,19 +295,70 @@ std::unique_ptr<TraceGenerator> makeTraceReader(std::istream& in, TraceFormat fo
 }
 
 namespace {
+/// The replay boundary's stream-level rules (see scanTraceEvents), fed one
+/// parsed event at a time.
+class ReplayChecker {
+ public:
+  bool check(const Event& event, std::string* error) {
+    if (!std::isfinite(event.time)) return fail(error, "time is not a finite number");
+    if (event.time < 0.0) {
+      return fail(error, "time " + report::formatJsonNumber(event.time) + " is negative");
+    }
+    if (event.time < lastTime_) {
+      return fail(error, "time " + report::formatJsonNumber(event.time) +
+                             " is before the previous event's " +
+                             report::formatJsonNumber(lastTime_));
+    }
+    lastTime_ = event.time;
+    if (event.ball < 0) {
+      return fail(error, "ball id " + std::to_string(event.ball) + " is negative");
+    }
+    const auto ball = [&event] { return "ball " + std::to_string(event.ball); };
+    if (event.kind == EventKind::kArrive) {
+      if (event.weight < 1 || event.weight > kMaxBallWeight) {
+        return fail(error, "arrive of " + ball() + " has weight " +
+                               std::to_string(event.weight) + ", not in [1, " +
+                               std::to_string(kMaxBallWeight) + "]");
+      }
+      if (!live_.insert(event.ball).second) {
+        return fail(error, "arrive of " + ball() + ", which is already live");
+      }
+      return true;
+    }
+    const bool known = event.kind == EventKind::kDepart ? live_.erase(event.ball) == 1
+                                                        : live_.count(event.ball) == 1;
+    if (!known) {
+      return fail(error, std::string(kindName(event.kind)) + " of " + ball() +
+                             ", which is not live");
+    }
+    return true;
+  }
+
+ private:
+  static bool fail(std::string* error, std::string message) {
+    *error = std::move(message);
+    return false;
+  }
+
+  double lastTime_ = 0.0;
+  std::unordered_set<std::int64_t> live_;
+};
+
 template <class Reader>
 std::int64_t scanWith(std::istream& in, std::string* error) {
   Reader reader(in);
+  ReplayChecker checker;
   Event event;
   std::int64_t count = 0;
   for (;;) {
-    switch (reader.read(&event, error)) {
-      case TraceReadStatus::kEvent: ++count; break;
-      case TraceReadStatus::kEnd: return count;
-      case TraceReadStatus::kMalformed:
-        *error = "event " + std::to_string(count + 1) + ": " + *error;
-        return -1;
+    const TraceReadStatus status = reader.read(&event, error);
+    if (status == TraceReadStatus::kEnd) return count;
+    if (status == TraceReadStatus::kEvent && checker.check(event, error)) {
+      ++count;
+      continue;
     }
+    *error = "event " + std::to_string(count + 1) + ": " + *error;
+    return -1;
   }
 }
 }  // namespace

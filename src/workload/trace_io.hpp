@@ -1,6 +1,7 @@
 // Trace recording and replay in three interchangeable formats.
 //
 //   JSONL   one event per line, e.g. {"t":1.25,"kind":"arrive","ball":7,"w":1}
+//           (exactly these four keys)
 //   CSV     "t,kind,ball,w" header then one row per event — the import
 //           format for externally produced workloads (spreadsheets, other
 //           simulators)
@@ -42,8 +43,9 @@ inline constexpr std::size_t kTraceBinaryRecordBytes = 25;  // f64 + u8 + 2*i64
 /// One event as a JSONL line (no trailing newline).
 [[nodiscard]] std::string formatTraceEvent(const Event& event);
 
-/// Parse one JSONL line. On failure returns false and, when `error` is
-/// non-null, stores a message.
+/// Parse one JSONL line: an object with exactly the keys t, kind, ball and
+/// w. On failure returns false and, when `error` is non-null, stores a
+/// message.
 [[nodiscard]] bool parseTraceEvent(const std::string& line, Event* out,
                                    std::string* error = nullptr);
 
@@ -77,9 +79,13 @@ class RecordingTrace final : public TraceGenerator {
                  TraceFormat format = TraceFormat::kJsonl);
 
   bool next(Event* out) override;
+  /// inner.fill, then the batch's writes: the same bytes as next() calls.
+  std::size_t fill(Event* out, std::size_t count) override;
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
  private:
+  void write(const Event& event);
+
   TraceGenerator* inner_;
   std::ostream* out_;
   TraceFormat format_;
@@ -140,9 +146,17 @@ class BinaryTraceReader final : public TraceGenerator {
 /// The dry parse: count the events in a trace stream by draining a replay
 /// reader that reports corruption instead of aborting (resets nothing;
 /// pass a fresh stream). Returns the event count, or -1 with `error`
-/// naming the first malformed event. Checks the format only (ball-id
-/// semantics are the allocator's). Replay scenarios use it to size epochs
-/// and to reject a corrupt trace before they write any output.
+/// naming the first bad event ("event N: why", N 1-based). Besides the
+/// format, it checks what the allocators would otherwise abort on or
+/// silently accept:
+///   - every time is finite, non-negative, and not before the previous
+///     event's;
+///   - ball ids are non-negative;
+///   - an arrive carries a weight in [1, kMaxBallWeight] and an id that
+///     is not live; a depart or resample names a live id (a hash set of
+///     the live ids, so memory grows with the peak live population).
+/// Replay scenarios use it to size epochs and to reject a bad trace before
+/// they write any output.
 [[nodiscard]] std::int64_t scanTraceEvents(std::istream& in, TraceFormat format,
                                            std::string* error);
 

@@ -69,14 +69,15 @@ void expectEqualOutcomes(const Outcome& compact, const Outcome& dense,
   EXPECT_EQ(a.repairMigrations, b.repairMigrations) << label;
 }
 
-Outcome runCompact(const std::string& spec, std::uint64_t seed) {
+Outcome runCompact(const std::string& spec, std::uint64_t seed,
+                          std::int64_t epochEvents = kEpochEvents) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
   serve::AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   CompactAllocator allocator(options);
   serve::LoopOptions loopOptions;
-  loopOptions.epochEvents = kEpochEvents;
+  loopOptions.epochEvents = epochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
   serve::EpochLoop loop(allocator, loopOptions);
@@ -95,14 +96,15 @@ Outcome runCompact(const std::string& spec, std::uint64_t seed) {
   return out;
 }
 
-Outcome runDense(const std::string& spec, std::uint64_t seed) {
+Outcome runDense(const std::string& spec, std::uint64_t seed,
+                        std::int64_t epochEvents = kEpochEvents) {
   workload::ComposedTrace trace(traceOptions(), spec, seed);
   serve::AllocatorOptions options;
   options.bins = kBins;
   options.arrivalChoices = 2;
   serve::OnlineAllocator allocator(options);
   serve::LoopOptions loopOptions;
-  loopOptions.epochEvents = kEpochEvents;
+  loopOptions.epochEvents = epochEvents;
   loopOptions.repairMovesPerEpoch = kRepair;
   loopOptions.seed = seed;
   serve::EpochLoop loop(allocator, loopOptions);
@@ -121,8 +123,11 @@ Outcome runDense(const std::string& spec, std::uint64_t seed) {
   return out;
 }
 
-// The equivalence contract: for every trace shape and seed, the compact
-// allocator equals the dense one.
+// The equivalence contract: for every trace shape, seed and epoch length,
+// the compact allocator equals the dense one. Epochs of 1 and 5 events are
+// shorter than compact applyBatch's prefetch look-ahead, so every batch
+// runs into its range checks; the dense allocator, which does not
+// prefetch, is the reference.
 TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
   const std::vector<std::string> specs = {
       "poisson",
@@ -133,10 +138,13 @@ TEST(CompactAllocator, MatchesDenseAcrossTheDifferentialMatrix) {
   const std::vector<std::uint64_t> seeds = {1, 20170529};
   for (const std::string& spec : specs) {
     for (const std::uint64_t seed : seeds) {
-      const Outcome compact = runCompact(spec, seed);
-      EXPECT_GT(compact.counters.events, 0);
-      expectEqualOutcomes(compact, runDense(spec, seed),
-                          spec + " seed=" + std::to_string(seed));
+      for (const std::int64_t epochEvents : {std::int64_t{1}, std::int64_t{5}, kEpochEvents}) {
+        const Outcome compact = runCompact(spec, seed, epochEvents);
+        EXPECT_GT(compact.counters.events, 0);
+        expectEqualOutcomes(compact, runDense(spec, seed, epochEvents),
+                            spec + " seed=" + std::to_string(seed) +
+                                " epoch=" + std::to_string(epochEvents));
+      }
     }
   }
 }
@@ -254,6 +262,41 @@ TEST(CompactAllocator, ValidateCatchesFreshAndRunStates) {
   EXPECT_EQ(allocator.counters().arrivals, 6);
   EXPECT_EQ(allocator.counters().departures, 1);
   EXPECT_EQ(allocator.maxWeightSeen(), 1);
+}
+
+// applyBatch's look-ahead reads the index entries of events up to 16
+// ahead. An id the index already covers (a larger id arrived first) but
+// that is not live yet has a -1 entry there, which must be skipped, never
+// used as a live-array slot. The dense allocator, which does not look
+// ahead, is the reference.
+TEST(CompactAllocator, LookAheadSkipsIdsNotLiveYet) {
+  using workload::EventKind;
+  serve::AllocatorOptions options;
+  options.bins = 8;
+  CompactAllocator compact(options);
+  serve::OnlineAllocator dense(options);
+  std::vector<workload::Event> events = {{0.0, EventKind::kArrive, 40, 1}};
+  for (std::int64_t ball = 0; ball < 20; ++ball) {
+    const double t = 1.0 + static_cast<double>(ball);
+    events.push_back({t, EventKind::kArrive, ball, 1});
+    events.push_back({t, EventKind::kResample, ball, 0});
+    if (ball % 3 == 0) events.push_back({t, EventKind::kDepart, ball, 0});
+  }
+  rng::Xoshiro256pp eng(5);
+  std::vector<serve::Decision> decisions(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind != EventKind::kDepart) decisions[i] = compact.decide(events[i], eng);
+  }
+  // Ball 40 alone first, so the index covers ids 0..40 before the batch.
+  compact.applyBatch(events.data(), decisions.data(), 1);
+  dense.applyBatch(events.data(), decisions.data(), 1);
+  compact.applyBatch(events.data() + 1, decisions.data() + 1, events.size() - 1);
+  dense.applyBatch(events.data() + 1, decisions.data() + 1, events.size() - 1);
+  EXPECT_TRUE(compact.validate());
+  EXPECT_EQ(compact.loadsCopy(), dense.loads());
+  EXPECT_EQ(compact.counters().migrations, dense.counters().migrations);
+  EXPECT_EQ(compact.counters().rejectedMoves, dense.counters().rejectedMoves);
+  EXPECT_EQ(compact.liveBalls(), 14);  // 21 arrived, 7 departed
 }
 
 // ------------------------------------------- serve_capacity list params

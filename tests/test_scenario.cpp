@@ -153,6 +153,8 @@ TEST(Harness, OutOfRangeValueExitsBeforeTheRunWritesNothing) {
       {"serve_poisson", {"n=0"}},
       {"serve_poisson", {"trace=" + ::testing::TempDir() + "no_such_trace.jsonl"}},
       {"serve_adversarial", {"n=64", "hot_weight=0"}},
+      {"serve_adversarial", {"n=64", "hot_weight=4611686018427387904"}},
+      {"serve_poisson", {"n=4", "weight=4611686018427387904"}},
   };
   int index = 0;
   for (const auto& [name, params] : cases) {
@@ -207,6 +209,22 @@ TEST(Harness, UnusableFileParamsExitBeforeTheRunWritesNothing) {
       {"trace=" + writeTempFile("truncated.bin", binaryTail)},
       {"trace=" + writeTempFile("empty.jsonl", "\n")},
   };
+  // Well-formed events that break a stream rule: an allocator precondition
+  // (unknown depart, live re-arrive, weight < 1) or a time or key the
+  // replay would otherwise take silently.
+  const std::string arrive = "{\"t\":0.5,\"kind\":\"arrive\",\"ball\":1,\"w\":1}\n";
+  const std::vector<std::pair<std::string, std::string>> badStreams = {
+      {"unknown_depart", arrive + "{\"t\":0.6,\"kind\":\"depart\",\"ball\":9,\"w\":0}\n"},
+      {"live_arrive", arrive + arrive},
+      {"negative_weight", "{\"t\":0.5,\"kind\":\"arrive\",\"ball\":1,\"w\":-3}\n"},
+      {"negative_time", "{\"t\":-1,\"kind\":\"arrive\",\"ball\":1,\"w\":1}\n"},
+      {"infinite_time", "{\"t\":1e400,\"kind\":\"arrive\",\"ball\":1,\"w\":1}\n"},
+      {"backwards_time", arrive + "{\"t\":0.4,\"kind\":\"arrive\",\"ball\":2,\"w\":1}\n"},
+      {"unknown_key", "{\"t\":0.5,\"kind\":\"arrive\",\"ball\":1,\"w\":1,\"x\":2}\n"},
+  };
+  for (const auto& [name, bytes] : badStreams) {
+    cases.push_back({"trace=" + writeTempFile(name + ".jsonl", bytes)});
+  }
   if (obs::kTracingCompiledIn) {
     cases.push_back({"n=64", "events=100", "trace_out=" + missingDir + "t.json"});
   }

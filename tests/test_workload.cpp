@@ -1,16 +1,19 @@
 // workload/: generator determinism, ball-lifecycle structure, inter-arrival
 // distribution sanity (KS against the exact exponential law), modulation
-// shape checks for the bursty/diurnal/hot-spot traces, and the JSONL
-// record -> replay round trip.
+// shape checks for the bursty/diurnal/hot-spot traces, the batched fill()
+// against next(), and the JSONL record -> replay round trip.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "stats/tests.hpp"
+#include "workload/compose.hpp"
 #include "workload/generators.hpp"
 #include "workload/trace_io.hpp"
 
@@ -250,6 +253,99 @@ TEST(Workload, PureBurstTraceStillEmits) {
     }
   }
   EXPECT_GT(bursts, 0);
+}
+
+// fill() is next() batched: for every generator shape, any batch size and
+// any mix of the two calls yield the one stream next() alone yields, and a
+// RecordingTrace writes the same bytes either way.
+TEST(Workload, FillMatchesNextForEveryGenerator) {
+  using Make = std::function<std::unique_ptr<TraceGenerator>()>;
+  OpenTraceOptions base = smallOptions();
+  base.maxEvents = 4001;  // a multiple of none of the batch sizes
+  HotspotTraceOptions hotspot;
+  hotspot.base = base;
+  hotspot.burstPeriod = 4.0;
+  hotspot.burstSize = 40;  // a burst outlasts a batch of 3: split across fills
+  // No background arrivals or resamples, and departures fast enough to
+  // empty the system between bursts: the total-rate-0 path.
+  HotspotTraceOptions pureBurst = hotspot;
+  pureBurst.base.arrivalRatePerBin = 0.0;
+  pureBurst.base.resampleRate = 0.0;
+  pureBurst.base.departureRate = 4.0;
+  BurstyTraceOptions bursty;
+  bursty.base = base;
+  DiurnalTraceOptions diurnal;
+  diurnal.base = base;
+  diurnal.period = 8.0;
+  const std::vector<std::pair<std::string, Make>> shapes = {
+      {"poisson", [&] { return std::make_unique<PoissonTrace>(base, 3); }},
+      {"bursty", [&] { return std::make_unique<BurstyTrace>(bursty, 3); }},
+      {"diurnal", [&] { return std::make_unique<DiurnalTrace>(diurnal, 3); }},
+      {"hotspot", [&] { return std::make_unique<HotspotTrace>(hotspot, 3); }},
+      {"pure_burst", [&] { return std::make_unique<HotspotTrace>(pureBurst, 3); }},
+      {"composed", [&] {
+         return std::make_unique<ComposedTrace>(
+             base, "diurnal(0.8,8)*bursty(8,0.05,0.5)+poisson(0.5)+hotspot(4,40,2)", 3);
+       }},
+  };
+  const auto append = [](std::vector<Event>* to, const std::vector<Event>& from,
+                         std::size_t k) {
+    to->insert(to->end(), from.begin(), from.begin() + static_cast<std::ptrdiff_t>(k));
+  };
+  for (const auto& [label, make] : shapes) {
+    const auto reference = drain(*make());
+    ASSERT_EQ(reference.size(), 4001u) << label;
+
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{1024}}) {
+      const auto trace = make();
+      std::vector<Event> got;
+      std::vector<Event> buffer(batch);
+      for (;;) {
+        const std::size_t k = trace->fill(buffer.data(), batch);
+        ASSERT_LE(k, batch);
+        append(&got, buffer, k);
+        if (k < batch) break;  // a short fill only at the end
+      }
+      EXPECT_EQ(got, reference) << label << " batch=" << batch;
+      EXPECT_EQ(trace->fill(buffer.data(), batch), 0u) << label << ": the end stays the end";
+    }
+
+    // next() and fill() calls interleaved.
+    const auto trace = make();
+    std::vector<Event> got;
+    std::vector<Event> buffer(7);
+    Event e;
+    for (std::size_t round = 0;; ++round) {
+      if (round % 2 == 0) {
+        if (!trace->next(&e)) break;
+        got.push_back(e);
+      } else {
+        const std::size_t want = 1 + round % 7;
+        const std::size_t k = trace->fill(buffer.data(), want);
+        append(&got, buffer, k);
+        if (k < want) break;
+      }
+    }
+    EXPECT_EQ(got, reference) << label << " interleaved";
+
+    // RecordingTrace: inner fill plus the writes, byte for byte.
+    for (const TraceFormat format : {TraceFormat::kJsonl, TraceFormat::kBinary}) {
+      const auto nextSource = make();
+      std::ostringstream viaNext(std::ios::binary);
+      RecordingTrace nextRecorder(*nextSource, viaNext, format);
+      (void)drain(nextRecorder);
+      const auto fillSource = make();
+      std::ostringstream viaFill(std::ios::binary);
+      RecordingTrace fillRecorder(*fillSource, viaFill, format);
+      std::vector<Event> filled;
+      std::vector<Event> chunk(100);
+      for (std::size_t k; (k = fillRecorder.fill(chunk.data(), chunk.size())) > 0;) {
+        append(&filled, chunk, k);
+      }
+      EXPECT_EQ(filled, reference) << label << " " << traceFormatName(format);
+      EXPECT_EQ(viaFill.str(), viaNext.str()) << label << " " << traceFormatName(format);
+    }
+  }
 }
 
 TEST(Workload, JsonlRoundTripIsExact) {

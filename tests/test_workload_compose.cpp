@@ -77,6 +77,8 @@ TEST(ComposeSpec, RejectsMalformedSpecs) {
   EXPECT_FALSE(parseComposeSpec("diurnal(1.5,64)", &spec, &error));  // amp >= 1
   EXPECT_FALSE(parseComposeSpec("bursty(0.5)", &spec, &error));      // factor < 1
   EXPECT_FALSE(parseComposeSpec("hotspot(16,32.5,8)", &spec, &error));  // frac size
+  EXPECT_FALSE(parseComposeSpec("hotspot(16,32,1e30)", &spec, &error));  // weight > 2^31-1
+  EXPECT_TRUE(parseComposeSpec("hotspot(16,32,2147483647)", &spec, &error)) << error;
   EXPECT_FALSE(parseComposeSpec("diurnal(0.8,", &spec, &error));
 }
 
@@ -270,6 +272,48 @@ TEST(TraceIo, ScanTraceEventsRejectsMalformedStreams) {
   EXPECT_EQ(scan("", TraceFormat::kJsonl).first, 0);
   EXPECT_EQ(scan(std::string(kTraceCsvHeader) + "\n", TraceFormat::kCsv).first, 0);
   EXPECT_EQ(scan(kTraceBinaryMagic, TraceFormat::kBinary).first, 0);
+
+  // Well-formed lines the allocators would abort on, or would accept
+  // silently: each names the event and why.
+  const auto line = [](const Event& e) { return formatTraceEvent(e) + "\n"; };
+  const std::string arrive = line({0.5, EventKind::kArrive, 1, 1});
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {arrive + line({0.6, EventKind::kDepart, 9, 0}),
+       "event 2: depart of ball 9, which is not live"},
+      {arrive + line({0.6, EventKind::kResample, 9, 0}),
+       "event 2: resample of ball 9, which is not live"},
+      {arrive + line({0.6, EventKind::kArrive, 1, 1}),
+       "event 2: arrive of ball 1, which is already live"},
+      {line({0.5, EventKind::kArrive, 1, -3}),
+       "event 1: arrive of ball 1 has weight -3, not in [1, 2147483647]"},
+      {line({0.5, EventKind::kArrive, 1, std::int64_t{1} << 40}),
+       "event 1: arrive of ball 1 has weight 1099511627776, not in [1, 2147483647]"},
+      {line({0.5, EventKind::kArrive, -4, 1}), "event 1: ball id -4 is negative"},
+      {"{\"t\":-1,\"kind\":\"arrive\",\"ball\":1,\"w\":1}\n", "event 1: time -1 is negative"},
+      {"{\"t\":1e400,\"kind\":\"arrive\",\"ball\":1,\"w\":1}\n",
+       "event 1: time is not a finite number"},
+      {arrive + line({0.4, EventKind::kArrive, 2, 1}),
+       "event 2: time 0.4 is before the previous event's 0.5"},
+      {"{\"t\":0.5,\"kind\":\"arrive\",\"ball\":1,\"w\":1,\"x\":2}\n",
+       "event 1: unknown trace event key \"x\": "
+       "{\"t\":0.5,\"kind\":\"arrive\",\"ball\":1,\"w\":1,\"x\":2}"},
+  };
+  for (const auto& [bytes, why] : bad) {
+    EXPECT_EQ(scan(bytes, TraceFormat::kJsonl), std::make_pair(std::int64_t{-1}, why));
+  }
+  // The same rules hold in every format (CSV takes "nan" as a time).
+  EXPECT_EQ(scan(std::string(kTraceCsvHeader) + "\nnan,arrive,1,1\n", TraceFormat::kCsv).second,
+            "event 1: time is not a finite number");
+  std::string binary = kTraceBinaryMagic;
+  appendTraceEventBinary(&binary, {0.5, EventKind::kDepart, 3, 0});
+  EXPECT_EQ(scan(binary, TraceFormat::kBinary).second,
+            "event 1: depart of ball 3, which is not live");
+  // A departed id may arrive again; equal times are in order.
+  EXPECT_EQ(scan(arrive + line({0.5, EventKind::kResample, 1, 0}) +
+                     line({0.5, EventKind::kDepart, 1, 0}) + arrive,
+                 TraceFormat::kJsonl)
+                .first,
+            4);
 }
 
 TEST(TraceIo, CsvRowFormatting) {
